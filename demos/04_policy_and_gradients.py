@@ -4,6 +4,8 @@ variable intruder counts, and a finite-difference audit of the gradients.
 Run: python demos/04_policy_and_gradients.py
 """
 
+from dataclasses import asdict
+
 import numpy as np
 
 from airsep import numerics as nm
@@ -26,7 +28,7 @@ def random_obs(rng, n):
 
 def main():
     config = PolicyConfig()  # 128-wide, 512 feed-forward, 16 heads, 1 encoder layer
-    print(f"configuration {config.to_dict()}: {parameter_count(config):,} parameters")
+    print(f"configuration {asdict(config)}: {parameter_count(config):,} parameters")
     rng = np.random.default_rng(0)
     params = init_params(config, rng)
 

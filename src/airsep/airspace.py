@@ -196,7 +196,7 @@ class WorldState:
 
     sector: SectorParams
     routes: list
-    rng: np.random.Generator
+    rng: np.random.Generator | None = None  # never read; callers may still pass one
     clock: float = 0.0
     aircraft: list = field(default_factory=list)
     spawn_queue: list = field(default_factory=list)
@@ -589,7 +589,6 @@ def make_world(env_kind, rng, sector=None, n_aircraft=None, rotation=None, early
     world = WorldState(
         sector=sector,
         routes=routes,
-        rng=rng,
         spawn_queue=spawn_queue,
         early_termination=early_termination,
     )
@@ -597,7 +596,7 @@ def make_world(env_kind, rng, sector=None, n_aircraft=None, rotation=None, early
     return world
 
 
-def make_custom_world(routes, spawns, sector=None, seed=0, early_termination=False):
+def make_custom_world(routes, spawns, sector=None, early_termination=False):
     """World from explicit routes and pending spawns (scripted tests and demos)."""
     sector = sector or SectorParams()
     ids = [sp.aircraft_id for sp in spawns]
@@ -606,7 +605,6 @@ def make_custom_world(routes, spawns, sector=None, seed=0, early_termination=Fal
     world = WorldState(
         sector=sector,
         routes=list(routes),
-        rng=np.random.default_rng(seed),
         spawn_queue=sorted(spawns),
         early_termination=early_termination,
     )

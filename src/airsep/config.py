@@ -1,11 +1,11 @@
-"""YAML configuration files for training runs and standalone scenarios.
+"""YAML configuration files for training runs.
 
 Config files speak aviation units (NM, kt, ft, minutes); everything is
 converted to SI here, at the boundary. Unknown keys are rejected so typos
 fail loudly instead of silently running defaults.
 """
 
-from dataclasses import dataclass
+from dataclasses import fields
 
 import yaml
 
@@ -14,27 +14,19 @@ from .policy import PolicyConfig
 from .ppo import HyperParams, ScenarioSpec, TrainConfig
 from .reward import RewardParams
 
+#: YAML sector key -> (SectorParams field, factor to SI); absent keys keep the field default
 _SECTOR_FIELDS = {
-    "sector_radius_nm": ("sector_radius", NM, 30.0),
-    "r_pz_nm": ("r_pz", NM, 5.0),
-    "r_nmac_ft": ("r_nmac", FT, 500.0),
-    "v_min_kt": ("v_min", KT, 0.0),
-    "v_max_kt": ("v_max", KT, 150.0),
-    "speed_increment_kt": ("speed_increment", KT, 5.0),
-    "decision_interval_s": ("decision_interval", 1.0, 1.0),
-    "lookahead_s": ("lookahead", 1.0, 120.0),
-    "arrival_capture_radius_m": ("arrival_capture_radius", 1.0, 100.0),
-    "timeout_buffer_min": ("timeout_buffer", 60.0, 20.0),
+    "sector_radius_nm": ("sector_radius", NM),
+    "r_pz_nm": ("r_pz", NM),
+    "r_nmac_ft": ("r_nmac", FT),
+    "v_min_kt": ("v_min", KT),
+    "v_max_kt": ("v_max", KT),
+    "speed_increment_kt": ("speed_increment", KT),
+    "decision_interval_s": ("decision_interval", 1.0),
+    "lookahead_s": ("lookahead", 1.0),
+    "arrival_capture_radius_m": ("arrival_capture_radius", 1.0),
+    "timeout_buffer_min": ("timeout_buffer", 60.0),
 }
-
-_HYPER_KEYS = (
-    "updates", "n_envs", "horizon", "batch_size", "epochs", "gamma", "gae_lambda",
-    "clip_eps", "entropy_coef", "vf_coef", "max_grad_norm", "learning_rate",
-    "advantage_normalization", "value_clipping",
-)
-
-_REWARD_KEYS = ("alpha_v", "alpha_conflict", "alpha_los", "alpha_nmac")
-_NETWORK_KEYS = ("d_emb", "d_ff", "heads", "layers")
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -43,13 +35,21 @@ def _reject_unknown(mapping, allowed, where):
         raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _from_fields(cls, mapping, where):
+    """``cls`` from a section keyed by its field names (missing keys take defaults)."""
+    mapping = mapping or {}
+    _reject_unknown(mapping, [f.name for f in fields(cls)], where)
+    return cls(**mapping)
+
+
 def sector_from_config(mapping):
     """SectorParams from aviation-unit keys (missing keys take defaults)."""
     mapping = mapping or {}
     _reject_unknown(mapping, _SECTOR_FIELDS, "sector")
     kwargs = {}
-    for key, (field, factor, default) in _SECTOR_FIELDS.items():
-        kwargs[field] = float(mapping.get(key, default)) * factor
+    for key, value in mapping.items():
+        name, factor = _SECTOR_FIELDS[key]
+        kwargs[name] = float(value) * factor
     return SectorParams(**kwargs)
 
 
@@ -65,24 +65,11 @@ def scenario_from_config(mapping):
 def training_config_from_dict(mapping):
     allowed = ("seed", "scenario", "network", "reward", "ppo", "checkpoint_every", "init_checkpoint")
     _reject_unknown(mapping, allowed, "training config")
-
-    ppo_map = mapping.get("ppo") or {}
-    _reject_unknown(ppo_map, _HYPER_KEYS, "ppo")
-    hyper = HyperParams(**ppo_map)
-
-    network_map = mapping.get("network") or {}
-    _reject_unknown(network_map, _NETWORK_KEYS, "network")
-    network = PolicyConfig(**network_map)
-
-    reward_map = mapping.get("reward") or {}
-    _reject_unknown(reward_map, _REWARD_KEYS, "reward")
-    reward = RewardParams(**reward_map)
-
     return TrainConfig(
         seed=int(mapping.get("seed", 0)),
-        hyper=hyper,
-        network=network,
-        reward=reward,
+        hyper=_from_fields(HyperParams, mapping.get("ppo"), "ppo"),
+        network=_from_fields(PolicyConfig, mapping.get("network"), "network"),
+        reward=_from_fields(RewardParams, mapping.get("reward"), "reward"),
         scenario=scenario_from_config(mapping.get("scenario")),
         checkpoint_every=int(mapping.get("checkpoint_every", 50)),
         init_checkpoint=mapping.get("init_checkpoint"),
@@ -94,18 +81,3 @@ def load_training_config(path):
         mapping = yaml.safe_load(fh) or {}
     return training_config_from_dict(mapping)
 
-
-@dataclass(frozen=True)
-class ScenarioFile:
-    """Standalone scenario description: what to simulate and with which seed."""
-
-    spec: ScenarioSpec
-    seed: int
-
-
-def load_scenario_config(path):
-    with open(path) as fh:
-        mapping = yaml.safe_load(fh) or {}
-    _reject_unknown(mapping, ("env", "sector", "n_aircraft", "seed"), "scenario file")
-    seed = int(mapping.pop("seed", 0))
-    return ScenarioFile(spec=scenario_from_config(mapping), seed=seed)

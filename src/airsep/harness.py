@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from . import airspace, config as config_mod, numerics as nm, policy as policy_mod, ppo
-from .airspace import KT, Advisory, EnvKind, SectorParams, make_world, write_event_log
+from .airspace import KT, Advisory, EnvKind, ScenarioError, SectorParams, make_world, write_event_log
 from .featurize import EgoObservation, featurize
-from .numerics import Tensor, finite_diff_check
+from .numerics import NumericsError, Tensor, finite_diff_check
 from .policy import PolicyConfig, forward_tensors, init_params
 
 ADHERENCE_TOLERANCE = 10.0 * KT
@@ -252,8 +252,6 @@ def _op_gradient_checks(seed, n_seeds):
         record("gelu", lambda: nm.gelu(g), [g])
         xs, gain, beta = t((3, 6)), t((6,), 0.5), t((6,))
         record("layer_norm", lambda: nm.layer_norm(xs, gain, beta), [xs, gain, beta])
-        sm = t((2, 5))
-        record("softmax", lambda: nm.softmax(sm), [sm])
         ls = t((5,))
         record("log_softmax", lambda: nm.log_softmax(ls), [ls])
         ex = t((4,), 0.5)
@@ -393,11 +391,6 @@ def _build_parser():
     return parser
 
 
-def _sector_from_meta(meta):
-    si = meta.get("sector_si")
-    return SectorParams(**si) if si else SectorParams()
-
-
 def _cmd_train(args):
     cfg = config_mod.load_training_config(args.config)
     if args.seed is not None:
@@ -412,7 +405,7 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     params, meta = policy_mod.load_policy(args.checkpoint)
-    sector = _sector_from_meta(meta)
+    sector = SectorParams(**meta.get("sector_si", {}))
     result = evaluate(params, args.case, args.episodes, args.seed, sector=sector)
     episodes_path, aggregate_path = emit_report(result.episodes, args.out)
     agg = result.aggregate
@@ -436,7 +429,7 @@ def _cmd_gradcheck(args):
 def _cmd_rollout_dump(args):
     if args.checkpoint:
         params, meta = policy_mod.load_policy(args.checkpoint)
-        sector = _sector_from_meta(meta)
+        sector = SectorParams(**meta.get("sector_si", {}))
     else:
         params = init_params(PolicyConfig(), np.random.default_rng(args.seed))
         sector = SectorParams()
@@ -475,7 +468,7 @@ def cli(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, NumericsError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

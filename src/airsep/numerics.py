@@ -3,7 +3,7 @@
 A small pure-numpy core sized for set-transformer policy networks: 1-D/2-D
 arrays, primitive ops recorded onto an implicit tape during the forward
 pass, and the network building blocks (exact-erf GELU, layer norm, stable
-softmax, multi-head self-attention). Everything is 64-bit; a NaN or Inf
+log-softmax, multi-head self-attention). Everything is 64-bit; a NaN or Inf
 anywhere is treated as a bug and raises immediately.
 """
 
@@ -91,9 +91,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -235,12 +232,6 @@ def matmul(a, b):
     return _op(out, [a, b], bwd, "matmul")
 
 
-def transpose(a):
-    if a.data.ndim != 2:
-        raise ShapeError("transpose expects a 2-D tensor")
-    return _op(a.data.T.copy(), [a], lambda g: (g.T,), "transpose")
-
-
 def reshape(a, shape):
     old = a.data.shape
     return _op(a.data.reshape(shape), [a], lambda g: (g.reshape(old),), "reshape")
@@ -327,10 +318,6 @@ def exp(a):
     return _op(out, [a], lambda g: (g * out,), "exp")
 
 
-def log(a):
-    return _op(np.log(a.data), [a], lambda g: (g / a.data,), "log")
-
-
 def minimum(a, b):
     """Elementwise minimum; at exact ties the gradient goes to ``a``."""
     take_a = a.data <= b.data
@@ -405,18 +392,6 @@ def layer_norm(a, gain, bias, eps=1e-5):
     return _op(out, [a, gain, bias], bwd, "layer_norm")
 
 
-def softmax(a):
-    """Max-subtracted exponential normalization along the last axis."""
-    x = a.data
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
-
-    return _op(p, [a], bwd, "softmax")
-
-
 def log_softmax(a):
     x = a.data
     m = x.max(axis=-1, keepdims=True)
@@ -481,12 +456,7 @@ class AttentionParams:
         return cls(*parts)
 
     def tensors(self):
-        return {
-            "wq": self.wq, "bq": self.bq,
-            "wk": self.wk, "bk": self.bk,
-            "wv": self.wv, "bv": self.bv,
-            "wo": self.wo, "bo": self.bo,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def self_attention(tokens, params, heads):

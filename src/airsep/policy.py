@@ -13,7 +13,7 @@ length-1 token sequence, no padding involved.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -46,9 +46,6 @@ class PolicyConfig:
     @property
     def head_dim(self):
         return self.d_emb // self.heads
-
-    def to_dict(self):
-        return {"d_emb": self.d_emb, "d_ff": self.d_ff, "heads": self.heads, "layers": self.layers}
 
 
 @dataclass
@@ -128,34 +125,22 @@ class PolicyParams:
     value_norm: ValueNormalizer = field(default_factory=ValueNormalizer)
 
     def named_parameters(self):
-        """Flat name -> Tensor map in a stable order."""
-        out = {
-            "cls_base": self.cls_base,
-            "own_w": self.own_w,
-            "own_b": self.own_b,
-            "own_ln_gain": self.own_ln_gain,
-            "own_ln_bias": self.own_ln_bias,
-            "intr_w": self.intr_w,
-            "intr_b": self.intr_b,
-            "intr_ln_gain": self.intr_ln_gain,
-            "intr_ln_bias": self.intr_ln_bias,
-        }
-        for i, layer in enumerate(self.layers):
-            prefix = f"enc{i}_"
-            out[prefix + "ln1_gain"] = layer.ln1_gain
-            out[prefix + "ln1_bias"] = layer.ln1_bias
-            for name, t in layer.attention.tensors().items():
-                out[prefix + "attn_" + name] = t
-            out[prefix + "ln2_gain"] = layer.ln2_gain
-            out[prefix + "ln2_bias"] = layer.ln2_bias
-            out[prefix + "ffn_w1"] = layer.ffn_w1
-            out[prefix + "ffn_b1"] = layer.ffn_b1
-            out[prefix + "ffn_w2"] = layer.ffn_w2
-            out[prefix + "ffn_b2"] = layer.ffn_b2
-        out["pi_w"] = self.pi_w
-        out["pi_b"] = self.pi_b
-        out["v_w"] = self.v_w
-        out["v_b"] = self.v_b
+        """Flat name -> Tensor map in field order; encoder layer ``i`` is prefixed ``enc{i}_``
+        and its attention tensors ``enc{i}_attn_``. The names are the checkpoint format."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                out[f.name] = value
+            elif f.name == "layers":
+                for i, layer in enumerate(value):
+                    for lf in fields(layer):
+                        tensor = getattr(layer, lf.name)
+                        if isinstance(tensor, AttentionParams):
+                            for name, t in tensor.tensors().items():
+                                out[f"enc{i}_attn_{name}"] = t
+                        else:
+                            out[f"enc{i}_{lf.name}"] = tensor
         return out
 
     def tensors(self):
@@ -318,7 +303,7 @@ def save_policy(path, params, meta=None):
     """Checkpoint all parameters plus the network configuration, the value
     normalizer's statistics and caller metadata."""
     meta = dict(meta or {})
-    meta["network"] = params.config.to_dict()
+    meta["network"] = asdict(params.config)
     meta["value_normalization"] = asdict(params.value_norm)
     return nm.save_checkpoint(path, params.named_parameters(), meta)
 

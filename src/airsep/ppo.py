@@ -19,7 +19,7 @@ values and the truncation bootstrap) are de-normalized to reward units.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -99,15 +99,8 @@ class TrainStats:
     grad_norm: float
 
     def csv_row(self):
-        return [
-            self.update,
-            repr(self.mean_lambda_return),
-            repr(self.mean_entropy),
-            repr(self.policy_loss),
-            repr(self.value_loss),
-            repr(self.clip_fraction),
-            repr(self.grad_norm),
-        ]
+        """The ``STATS_HEADER`` columns; floats as ``repr`` so the file round-trips exactly."""
+        return [self.update] + [repr(getattr(self, name)) for name in STATS_HEADER[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +308,6 @@ class Adam:
             v += (1.0 - self.beta2) * (p.grad * p.grad)
             p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
-    def zero_grad(self):
-        nm.zero_grads(self.params)
-
 
 def normalize_advantages(adv):
     """Zero-mean unit-variance rescaling with the standard 1e-8 guard."""
@@ -437,50 +427,13 @@ class TrainResult:
 
 def checkpoint_metadata(config, update):
     """Metadata echoed into every checkpoint so evaluation matches training."""
-    sector = config.scenario.sector
     return {
         "seed": config.seed,
         "env_kind": config.scenario.env_kind.value,
         "update": update,
-        "sector_si": {
-            "sector_radius": sector.sector_radius,
-            "r_pz": sector.r_pz,
-            "r_nmac": sector.r_nmac,
-            "v_min": sector.v_min,
-            "v_max": sector.v_max,
-            "speed_increment": sector.speed_increment,
-            "decision_interval": sector.decision_interval,
-            "lookahead": sector.lookahead,
-            "arrival_capture_radius": sector.arrival_capture_radius,
-            "timeout_buffer": sector.timeout_buffer,
-        },
-        "normalization": {
-            "distance_scale_m": 2.0 * sector.sector_radius,
-            "speed_scale_ms": sector.v_max,
-            "speed_dev_scale_ms": sector.v_max - sector.v_min,
-        },
-        "reward": {
-            "alpha_v": config.reward.alpha_v,
-            "alpha_conflict": config.reward.alpha_conflict,
-            "alpha_los": config.reward.alpha_los,
-            "alpha_nmac": config.reward.alpha_nmac,
-        },
-        "hyper": {
-            "updates": config.hyper.updates,
-            "n_envs": config.hyper.n_envs,
-            "horizon": config.hyper.horizon,
-            "batch_size": config.hyper.batch_size,
-            "epochs": config.hyper.epochs,
-            "gamma": config.hyper.gamma,
-            "gae_lambda": config.hyper.gae_lambda,
-            "clip_eps": config.hyper.clip_eps,
-            "entropy_coef": config.hyper.entropy_coef,
-            "vf_coef": config.hyper.vf_coef,
-            "max_grad_norm": config.hyper.max_grad_norm,
-            "learning_rate": config.hyper.learning_rate,
-            "advantage_normalization": config.hyper.advantage_normalization,
-            "value_clipping": config.hyper.value_clipping,
-        },
+        "sector_si": asdict(config.scenario.sector),
+        "reward": asdict(config.reward),
+        "hyper": asdict(config.hyper),
     }
 
 

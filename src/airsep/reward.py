@@ -4,7 +4,7 @@ Exactly one branch fires per agent per step. With the default unit weights the
 per-step reward lies in [-2, 1] except for the -100 NMAC case.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,9 +19,9 @@ class RewardParams:
     alpha_nmac: float = 100.0     # NMAC penalty magnitude (applied negatively)
 
     def __post_init__(self):
-        for name in ("alpha_v", "alpha_conflict", "alpha_los", "alpha_nmac"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0.0:
+                raise ValueError(f"{f.name} must be positive")
 
 
 def _clip01(x):

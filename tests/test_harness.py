@@ -276,6 +276,20 @@ def test_cli_train_tiny_run(tmp_path, capsys):
     assert (tmp_path / "run" / "checkpoint_final.npz").exists()
 
 
+def test_cli_library_error_exits_1_with_message(tmp_path, capsys):
+    config = tmp_path / "bad_heads.yaml"
+    config.write_text(
+        "scenario: {env: headon}\n"
+        "network: {d_emb: 16, d_ff: 32, heads: 5, layers: 1}\n"
+        "ppo: {updates: 1, n_envs: 1, horizon: 16, batch_size: 8, epochs: 1}\n"
+    )
+    code = cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "not divisible by heads" in err
+
+
 def test_cli_gradcheck_quick(capsys):
     assert cli(["gradcheck", "--op-seeds", "2"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Policy-network oracles: token construction, invariances, heads, checkpoints."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -217,13 +218,38 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     path = save_policy(tmp_path / "ckpt", params, meta={"seed": 7})
     loaded, meta = load_policy(path)
     assert meta["seed"] == 7
-    assert meta["network"] == SMALL.to_dict()
+    assert meta["network"] == asdict(SMALL)
     assert loaded.value_norm == params.value_norm
     logits1, value1 = forward(obs, loaded)
     assert np.array_equal(logits0, logits1)
     assert value0 == value1
     for name, t in params.named_parameters().items():
         assert np.array_equal(t.data, loaded.named_parameters()[name].data)
+
+
+def test_named_parameters_pin_checkpoint_names_and_order():
+    # the names are the checkpoint format, and the order fixes the summation
+    # order of the global gradient norm, so both are pinned exactly
+    params = init_params(PolicyConfig(d_emb=8, d_ff=16, heads=2, layers=2), np.random.default_rng(0))
+    layer = [
+        "ln1_gain", "ln1_bias",
+        "attn_wq", "attn_bq", "attn_wk", "attn_bk", "attn_wv", "attn_bv", "attn_wo", "attn_bo",
+        "ln2_gain", "ln2_bias", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
+    ]
+    expected = (
+        [
+            "cls_base", "own_w", "own_b", "own_ln_gain", "own_ln_bias",
+            "intr_w", "intr_b", "intr_ln_gain", "intr_ln_bias",
+        ]
+        + [f"enc0_{name}" for name in layer]
+        + [f"enc1_{name}" for name in layer]
+        + ["pi_w", "pi_b", "v_w", "v_b"]
+    )
+    named = params.named_parameters()
+    assert list(named) == expected
+    assert named["enc1_attn_wo"] is params.layers[1].attention.wo
+    assert named["enc0_ffn_b2"] is params.layers[0].ffn_b2
+    assert params.tensors() == list(named.values())
 
 
 def test_full_network_gradient_check():
