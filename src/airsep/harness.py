@@ -14,7 +14,7 @@ from . import airspace, config as config_mod, numerics as nm, policy as policy_m
 from .airspace import KT, Advisory, EnvKind, ScenarioError, SectorParams, make_world, write_event_log
 from .featurize import EgoObservation, featurize
 from .numerics import NumericsError, Tensor, finite_diff_check
-from .policy import PolicyConfig, forward_tensors, init_params
+from .policy import PolicyConfig, init_params
 
 ADHERENCE_TOLERANCE = 10.0 * KT
 GRADIENT_TOLERANCE = 1e-4
@@ -244,6 +244,8 @@ def _op_gradient_checks(seed, n_seeds):
 
         a, b = t((4, 5)), t((5, 3))
         record("matmul", lambda: nm.matmul(a, b), [a, b])
+        ab, wb = t((2, 2, 3)), t((3, 2))
+        record("matmul_batched", lambda: nm.matmul(ab, wb), [ab, wb])
         x, bias = t((3, 4)), t((4,))
         record("add_broadcast", lambda: nm.add(x, bias), [x, bias])
         u, v = t((6,)), t((6,))
@@ -252,6 +254,8 @@ def _op_gradient_checks(seed, n_seeds):
         record("gelu", lambda: nm.gelu(g), [g])
         xs, gain, beta = t((3, 6)), t((6,), 0.5), t((6,))
         record("layer_norm", lambda: nm.layer_norm(xs, gain, beta), [xs, gain, beta])
+        xb, gain_b, beta_b = t((2, 2, 4)), t((4,), 0.5), t((4,))
+        record("layer_norm_batched", lambda: nm.layer_norm(xb, gain_b, beta_b), [xb, gain_b, beta_b])
         ls = t((5,))
         record("log_softmax", lambda: nm.log_softmax(ls), [ls])
         ex = t((4,), 0.5)
@@ -271,16 +275,22 @@ def _op_gradient_checks(seed, n_seeds):
         nr = t((4, 5))
         record("narrow_concat", lambda: nm.concat([nm.narrow(nr, 0, 0, 2), nm.narrow(nr, 0, 2, 2)]), [nr])
         pk = t((5,))
-        record("pick_stack", lambda: nm.stack([nm.pick(pk, 1), nm.pick(pk, 3)]), [pk])
+        record("pick", lambda: nm.pick(pk, 3), [pk])
+        pr = t((3, 3))
+        record("pick_rows", lambda: nm.pick(pr, [2, 0, 2]), [pr])
         mn = t((3, 4))
         worst["mean"] = max(worst.get("mean", 0.0), finite_diff_check(lambda: nm.tmean(mn), [mn]))
         q, k, vv = t((4, 8), 0.7), t((4, 8), 0.7), t((4, 8), 0.7)
         record("mha_core", lambda: nm.mha_core(q, k, vv, 2), [q, k, vv])
+        # one query per set over two key sets holding 3 and 1 real keys; the rest is padding
+        qb, kb, vb = t((2, 1, 4), 0.7), t((2, 3, 4), 0.7), t((2, 3, 4), 0.7)
+        mask = np.arange(3) < np.array([3, 1])[:, None]
+        record("mha_core_masked", lambda: nm.mha_core(qb, kb, vb, 2, mask), [qb, kb, vb])
         tokens = t((3, 8), 0.7)
         attn = nm.AttentionParams.create(rng, 8)
         record(
             "self_attention",
-            lambda: nm.self_attention(tokens, attn, 2),
+            lambda: nm.attention(tokens, tokens, attn, 2),
             [tokens] + list(attn.tensors().values()),
         )
     return worst
@@ -301,28 +311,23 @@ def _random_observation(rng, n_intruders):
     return EgoObservation(ownship=ownship, intruders=intruders)
 
 
-def _policy_loss_fn(obs, params):
-    """PPO-flavored scalar touching every parameter of the network."""
-
-    def f():
-        logits, value = forward_tensors(obs, params)
-        lsm = nm.log_softmax(logits)
-        log_prob = nm.pick(lsm, 1)
-        ratio = nm.exp(log_prob - (-1.2))
-        surrogate = nm.minimum(ratio * 0.7, nm.clip(ratio, 0.8, 1.2) * 0.7)
-        entropy = nm.neg(nm.tsum(nm.mul(nm.exp(lsm), lsm)))
-        value_term = nm.square(value - 0.4)
-        return nm.neg(surrogate) + value_term * 0.5 - entropy * 0.01
-
-    return f
-
-
-def _policy_gradient_check(config, seed, max_entries_per_param=None):
+def _policy_gradient_check(config, seed, counts, max_entries_per_param=None):
+    """The PPO minibatch loss (:func:`ppo.ppo_loss`) of a padded batch of random
+    observations with the given intruder counts, through a fresh network."""
     rng = np.random.default_rng(seed)
     params = init_params(config, rng)
-    obs = _random_observation(rng, 3)
+    rows = policy_mod.pad_observations([_random_observation(rng, c) for c in counts])
+    b = len(counts)
+    actions = rng.integers(0, 3, size=b)
+    logp_old = rng.uniform(-1.6, -0.6, size=b)
+    advantages, returns, values_old = rng.standard_normal((3, b))
+    hparams = ppo.HyperParams()
+
+    def f():
+        return ppo.ppo_loss(params, rows, actions, logp_old, advantages, returns, values_old, hparams)[0]
+
     return finite_diff_check(
-        _policy_loss_fn(obs, params),
+        f,
         params.tensors(),
         max_entries_per_param=max_entries_per_param,
         rng=np.random.default_rng((seed, 1)),
@@ -330,9 +335,11 @@ def _policy_gradient_check(config, seed, max_entries_per_param=None):
 
 
 def run_gradient_suite(seed=0, op_seeds=100, io=None):
-    """Finite-difference the whole stack: every primitive, the full network at a
-    compact width (every parameter), and the production widths for 1/2/3 encoder
-    layers (sampled entries per tensor). Returns {check_name: max relative error}.
+    """Finite-difference the whole stack: every primitive, then the PPO loss
+    through the full network at a compact width (every parameter), through a
+    compact 2-layer network on a padded minibatch (every parameter), and at the
+    production widths for 1/2/3 encoder layers (sampled entries per tensor).
+    Returns {check_name: max relative error}.
     """
 
     def emit(line):
@@ -343,12 +350,18 @@ def run_gradient_suite(seed=0, op_seeds=100, io=None):
     for name in sorted(results):
         emit(f"  op {name}: {results[name]:.3e}")
     small = PolicyConfig(d_emb=16, d_ff=32, heads=4, layers=1)
-    results["policy_m1_compact_all_params"] = _policy_gradient_check(small, seed)
+    results["policy_m1_compact_all_params"] = _policy_gradient_check(small, seed, (3,))
     emit(f"  policy compact (every parameter): {results['policy_m1_compact_all_params']:.3e}")
+    two_layers = PolicyConfig(d_emb=8, d_ff=16, heads=2, layers=2)
+    results["policy_m2_minibatch_loss_all_params"] = _policy_gradient_check(two_layers, seed, (0, 1, 4))
+    emit(
+        "  policy 2-layer PPO minibatch loss, 0/1/4 intruders (every parameter): "
+        f"{results['policy_m2_minibatch_loss_all_params']:.3e}"
+    )
     for m in (1, 2, 3):
         cfg = PolicyConfig(d_emb=128, d_ff=512, heads=16, layers=m)
         key = f"policy_m{m}_full_scale_sampled"
-        results[key] = _policy_gradient_check(cfg, seed, max_entries_per_param=6)
+        results[key] = _policy_gradient_check(cfg, seed, (3,), max_entries_per_param=6)
         emit(f"  policy {m}-layer full width (sampled entries): {results[key]:.3e}")
     return results
 

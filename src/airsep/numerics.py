@@ -1,15 +1,17 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A small pure-numpy core sized for set-transformer policy networks: 1-D/2-D
-arrays, primitive ops recorded onto an implicit tape during the forward
-pass, and the network building blocks (exact-erf GELU, layer norm, stable
-log-softmax, multi-head self-attention). Everything is 64-bit; a NaN or Inf
+arrays and batches of them, primitive ops recorded onto an implicit tape
+during the forward pass, and the network building blocks (exact-erf GELU,
+layer norm, stable log-softmax, multi-head attention with a key-padding
+mask). Everything is 64-bit; a NaN or Inf
 anywhere is treated as a bug and raises immediately.
 """
 
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 from scipy.special import erf
@@ -46,15 +48,23 @@ class Node:
 
     ``backward_fn`` maps the gradient w.r.t. the output to a tuple of
     gradients aligned with ``inputs`` (``None`` for non-differentiable slots).
+    The node refers to its output weakly: the output owns the node, and a
+    strong reference back would make every graph a reference cycle that only
+    the cyclic garbage collector frees, so dead graphs and their arrays would
+    pile up between collections.
     """
 
-    __slots__ = ("inputs", "output", "backward_fn", "name")
+    __slots__ = ("inputs", "_output", "backward_fn", "name")
 
     def __init__(self, inputs, output, backward_fn, name):
         self.inputs = inputs
-        self.output = output
+        self._output = weakref.ref(output)
         self.backward_fn = backward_fn
         self.name = name
+
+    @property
+    def output(self):
+        return self._output()
 
     def __repr__(self):
         return f"Node({self.name}, out_shape={self.output.data.shape})"
@@ -63,7 +73,7 @@ class Node:
 class Tensor:
     """A float64 array plus optional gradient buffer and producing node."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
@@ -208,20 +218,22 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    """Matrix product for 1-D/2-D operands with standard vector promotion."""
+    """Matrix product with standard vector promotion.
+
+    1-D/2-D operands multiply as usual. An ``a`` with leading batch axes,
+    shape (..., k), multiplies a 2-D weight (k, m) row by row; the weight's
+    gradient sums over every leading axis in one product.
+    """
     ad, bd = a.data, b.data
     if ad.ndim == 0 or bd.ndim == 0:
         raise ShapeError("matmul requires 1-D or 2-D operands")
+    if bd.ndim > 2 or (ad.ndim > 2 and bd.ndim != 2):
+        raise ShapeError(f"a batched matmul needs a 2-D right operand, got {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {ad.shape} @ {bd.shape}")
-    a2 = ad if ad.ndim == 2 else ad[None, :]
+    a2 = ad.reshape(-1, ad.shape[-1])
     b2 = bd if bd.ndim == 2 else bd[:, None]
-    out2 = a2 @ b2
-    out = out2
-    if ad.ndim == 1:
-        out = out[0]
-    if bd.ndim == 1:
-        out = out[..., 0]
+    out = (a2 @ b2).reshape(ad.shape[:-1] + bd.shape[1:])
 
     def bwd(g):
         g2 = g.reshape(a2.shape[0], b2.shape[1])
@@ -251,19 +263,6 @@ def concat(tensors, axis=0):
     return _op(out, tensors, bwd, "concat")
 
 
-def stack(tensors):
-    """Stack same-shape tensors along a new leading axis."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("stack of zero tensors")
-    out = np.stack([t.data for t in tensors])
-
-    def bwd(g):
-        return tuple(g[i] for i in range(len(tensors)))
-
-    return _op(out, tensors, bwd, "stack")
-
-
 def narrow(a, axis, start, length):
     """Contiguous slice of ``length`` entries along ``axis``."""
     idx = [slice(None)] * a.data.ndim
@@ -280,17 +279,24 @@ def narrow(a, axis, start, length):
 
 
 def pick(a, index):
-    """Select one entry of a 1-D tensor; returns a 0-d tensor."""
-    if a.data.ndim != 1:
-        raise ShapeError("pick expects a 1-D tensor")
-    i = int(index)
+    """Select one entry per row: ``a[index]`` of a 1-D tensor (a 0-d tensor),
+    or ``a[i, index[i]]`` of a 2-D tensor (a 1-D tensor of its rows)."""
+    if a.data.ndim == 1:
+        sel = int(index)
+    elif a.data.ndim == 2:
+        cols = np.asarray(index, dtype=np.int64)
+        if cols.shape != a.data.shape[:1]:
+            raise ShapeError(f"pick needs one index per row, got {cols.shape} for {a.data.shape}")
+        sel = (np.arange(cols.size), cols)
+    else:
+        raise ShapeError("pick expects a 1-D or 2-D tensor")
 
     def bwd(g):
         full = np.zeros_like(a.data)
-        full[i] = g
+        full[sel] = g
         return (full,)
 
-    return _op(a.data[i], [a], bwd, "pick")
+    return _op(a.data[sel], [a], bwd, "pick")
 
 
 def tsum(a):
@@ -367,10 +373,10 @@ def gelu(a):
 
 
 def layer_norm(a, gain, bias, eps=1e-5):
-    """Standardize each row (biased variance + eps), then apply gain and bias."""
+    """Standardize along the last axis (biased variance + eps), then apply gain and bias."""
     x = a.data
-    if x.ndim not in (1, 2):
-        raise ShapeError("layer_norm expects a 1-D or 2-D tensor")
+    if x.ndim == 0:
+        raise ShapeError("layer_norm expects at least a 1-D tensor")
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
@@ -404,34 +410,54 @@ def log_softmax(a):
     return _op(out, [a], bwd, "log_softmax")
 
 
-def mha_core(q, k, v, heads):
-    """Multi-head scaled dot-product attention on projected q/k/v of shape (n, d).
+def mha_core(q, k, v, heads, key_mask=None):
+    """Multi-head scaled dot-product attention on projected queries, keys and values.
 
-    Splits the width into ``heads`` slices, attends within each head at scale
-    1/sqrt(d/heads), and concatenates the per-head results. No positional
-    information enters: permuting the rows permutes the output identically.
+    ``q`` is (m, d) and ``k``, ``v`` are (n, d), or all three carry a leading
+    batch axis: (B, m, d) and (B, n, d). The width splits into ``heads``
+    slices, each attended at scale 1/sqrt(d/heads), and the per-head results
+    are concatenated. ``key_mask``, boolean (n,) or (B, n), marks the keys
+    that exist; the others (padding) get an attention weight of exactly 0
+    and no gradient. Every query needs at least one unmasked key. No
+    positional information enters: permuting the keys and values leaves the
+    output unchanged, and permuting the queries permutes it identically.
     """
-    n, d = q.data.shape
+    qd, kd, vd = q.data, k.data, v.data
+    if not (qd.ndim == kd.ndim and qd.ndim in (2, 3) and kd.shape == vd.shape
+            and qd.shape[:-2] == kd.shape[:-2] and qd.shape[-1] == kd.shape[-1]):
+        raise ShapeError(f"mha_core shapes disagree: q {qd.shape}, k {kd.shape}, v {vd.shape}")
+    if qd.ndim == 2:
+        qd, kd, vd = qd[None], kd[None], vd[None]
+    b, m, d = qd.shape
+    n = kd.shape[1]
     if d % heads != 0:
         raise ConfigError(f"width {d} not divisible by {heads} heads")
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
-    qh = q.data.reshape(n, heads, dh)
-    kh = k.data.reshape(n, heads, dh)
-    vh = v.data.reshape(n, heads, dh)
-    scores = np.einsum("ihd,jhd->hij", qh, kh) * scale
+    # (B, heads, rows, dh) views
+    qh = qd.reshape(b, m, heads, dh).transpose(0, 2, 1, 3)
+    kh = kd.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+    vh = vd.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
+    if key_mask is not None:
+        keep = np.asarray(key_mask, dtype=bool).reshape(-1, 1, 1, n)
+        scores = np.where(keep, scores, -np.inf)  # exp(-inf) is exactly 0
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
-    out = np.einsum("hij,jhd->ihd", attn, vh).reshape(n, d)
+    out = (attn @ vh).transpose(0, 2, 1, 3).reshape(q.data.shape)
 
     def bwd(g):
-        gh = g.reshape(n, heads, dh)
-        d_attn = np.einsum("ihd,jhd->hij", gh, vh)
-        gv = np.einsum("hij,ihd->jhd", attn, gh).reshape(n, d)
+        gh = g.reshape(b, m, heads, dh).transpose(0, 2, 1, 3)
+        d_attn = gh @ vh.transpose(0, 1, 3, 2)
+        gv = attn.transpose(0, 1, 3, 2) @ gh
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-        gq = scale * np.einsum("hij,jhd->ihd", d_scores, kh).reshape(n, d)
-        gk = scale * np.einsum("hij,ihd->jhd", d_scores, qh).reshape(n, d)
-        return gq, gk, gv
+        gq = scale * (d_scores @ kh)
+        gk = scale * (d_scores.transpose(0, 1, 3, 2) @ qh)
+
+        def merge(t, shape):
+            return t.transpose(0, 2, 1, 3).reshape(shape)
+
+        return merge(gq, q.data.shape), merge(gk, k.data.shape), merge(gv, v.data.shape)
 
     return _op(out, [q, k, v], bwd, "mha_core")
 
@@ -459,17 +485,23 @@ class AttentionParams:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-def self_attention(tokens, params, heads):
-    """Multi-head self-attention with output projection over a (n, d) token set."""
-    if tokens.data.ndim != 2:
-        raise ShapeError("self_attention expects (n, d) tokens")
-    d = tokens.data.shape[1]
+def attention(queries, tokens, params, heads, key_mask=None):
+    """Multi-head attention of ``queries`` over ``tokens``, with output projection.
+
+    Both are (rows, d) or batched (B, rows, d); ``key_mask`` marks the real
+    tokens as in :func:`mha_core`. Self-attention passes the same tensor
+    twice. Queries that are a subset of the tokens (a classifier row, say)
+    give those rows of the self-attention output.
+    """
+    if tokens.data.ndim not in (2, 3):
+        raise ShapeError("attention expects (n, d) or (B, n, d) tokens")
+    d = tokens.data.shape[-1]
     if d % heads != 0:
         raise ConfigError(f"token width {d} not divisible by {heads} heads")
-    q = add(matmul(tokens, params.wq), params.bq)
+    q = add(matmul(queries, params.wq), params.bq)
     k = add(matmul(tokens, params.wk), params.bk)
     v = add(matmul(tokens, params.wv), params.bv)
-    mixed = mha_core(q, k, v, heads)
+    mixed = mha_core(q, k, v, heads, key_mask)
     return add(matmul(mixed, params.wo), params.bo)
 
 

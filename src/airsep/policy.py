@@ -4,12 +4,19 @@ advisory head and the state-value head.
 
 The value head works in normalized return units. :class:`ValueNormalizer`,
 kept on the parameters and saved with them, maps its output back to reward
-units: :func:`forward_tensors` gives the raw head output the trainer fits,
+units: :func:`forward_batch` gives the raw head output the trainer fits,
 :func:`forward` and :func:`act` give values in reward units.
 
 No positional encodings anywhere: intruders form an unordered set and the
-network is permutation-invariant by construction. The zero-intruder case is a
-length-1 token sequence, no padding involved.
+network is permutation-invariant by construction. :func:`forward_batch` runs
+a batch of observations with different intruder counts at once: each row is
+zero-padded to the batch's largest count and the attention masks the padding
+out, so a padded key gets weight exactly 0 (a zero-intruder observation
+attends to its classifier token alone). The last encoder layer is pooling by
+multi-head attention with the classifier token as its one seed (Set
+Transformer, Lee et al. 2019): only that row queries, so its attention
+output, second layer norm and FFN are computed for that row alone.
+:func:`forward_tensors` is the batch of one, without padding.
 """
 
 import math
@@ -207,47 +214,91 @@ def parameter_count(config):
 
 def make_cls_token(ownship, params):
     """Condition the learnable base token on the ownship block:
-    layer_norm(gelu(affine(concat(base, ownship))))."""
+    layer_norm(gelu(affine(concat(base, ownship)))).
+
+    ``ownship`` is one (2,) block or a batch (B, 2), with one token per row.
+    """
     own = ownship if isinstance(ownship, Tensor) else Tensor(np.asarray(ownship, dtype=np.float64))
-    fused = nm.concat([params.cls_base, own], axis=0)
+    base = nm.add(Tensor(np.zeros(own.shape[:-1] + params.cls_base.shape)), params.cls_base)
+    fused = nm.concat([base, own], axis=-1)
     pre = nm.add(nm.matmul(fused, params.own_w), params.own_b)
     return nm.layer_norm(nm.gelu(pre), params.own_ln_gain, params.own_ln_bias, eps=LAYER_NORM_EPS)
 
 
 def make_intruder_tokens(intruders, params):
-    """Shared affine + layer norm per intruder row; None for the empty set."""
+    """Shared affine + layer norm per intruder row, for (n, 7) or (B, n, 7)
+    rows; None when there are no rows."""
     arr = intruders.data if isinstance(intruders, Tensor) else np.asarray(intruders, dtype=np.float64)
-    if arr.shape[0] == 0:
+    if arr.shape[-2] == 0:
         return None
     x = intruders if isinstance(intruders, Tensor) else Tensor(arr)
     pre = nm.add(nm.matmul(x, params.intr_w), params.intr_b)
     return nm.layer_norm(pre, params.intr_ln_gain, params.intr_ln_bias, eps=LAYER_NORM_EPS)
 
 
-def _encoder(tokens, params):
+def _encoder(tokens, key_mask, params):
+    """Pre-norm encoder over (B, n, d) tokens; returns the classifier rows (B, 1, d).
+
+    The last layer pools: only the classifier row queries (keys and values
+    still come from every token), and its FFN runs on that row alone.
+    """
+    heads = params.config.heads
     x = tokens
-    for layer in params.layers:
+    last = len(params.layers) - 1
+    for i, layer in enumerate(params.layers):
         normed = nm.layer_norm(x, layer.ln1_gain, layer.ln1_bias, eps=LAYER_NORM_EPS)
-        x = nm.add(x, nm.self_attention(normed, layer.attention, params.config.heads))
+        queries = normed
+        if i == last:
+            x = nm.narrow(x, 1, 0, 1)
+            queries = nm.narrow(normed, 1, 0, 1)
+        x = nm.add(x, nm.attention(queries, normed, layer.attention, heads, key_mask))
         normed = nm.layer_norm(x, layer.ln2_gain, layer.ln2_bias, eps=LAYER_NORM_EPS)
         hidden = nm.gelu(nm.add(nm.matmul(normed, layer.ffn_w1), layer.ffn_b1))
         x = nm.add(x, nm.add(nm.matmul(hidden, layer.ffn_w2), layer.ffn_b2))
     return x
 
 
+def pad_observations(observations):
+    """Stack observations into ``ownship`` (B, 2), zero-padded ``intruders``
+    (B, T, 7) with T the largest intruder count, and ``counts`` (B,)."""
+    counts = np.array([obs.n_intruders for obs in observations], dtype=np.int64)
+    ownship = np.array([obs.ownship for obs in observations], dtype=np.float64).reshape(-1, OWNSHIP_DIM)
+    intruders = np.zeros((len(observations), int(counts.max(initial=0)), INTRUDER_DIM))
+    for row, obs in zip(intruders, observations):
+        row[:obs.n_intruders] = obs.intruders
+    return ownship, intruders, counts
+
+
+def forward_batch(ownship, intruders, counts, params):
+    """Graph-building forward pass over a batch of padded observations.
+
+    ``ownship`` is (B, 2), ``intruders`` (B, T, 7) and row ``b`` holds
+    ``counts[b]`` real intruders followed by padding, which the attention
+    masks out. Returns logits (B, 3) and the value head's raw output (B,),
+    in normalized return units.
+    """
+    counts = np.asarray(counts)
+    b, t = intruders.shape[0], intruders.shape[1]
+    cls_tok = nm.reshape(make_cls_token(ownship, params), (b, 1, params.config.d_emb))
+    intr_tok = make_intruder_tokens(intruders, params)
+    tokens = cls_tok if intr_tok is None else nm.concat([cls_tok, intr_tok], axis=1)
+    key_mask = None
+    if np.any(counts != t):
+        key_mask = np.concatenate([np.ones((b, 1), dtype=bool), np.arange(t) < counts[:, None]], axis=1)
+    pooled = nm.reshape(_encoder(tokens, key_mask, params), (b, params.config.d_emb))
+    logits = nm.add(nm.matmul(pooled, params.pi_w), params.pi_b)
+    value = nm.reshape(nm.add(nm.matmul(pooled, params.v_w), params.v_b), (b,))
+    return logits, value
+
+
 def forward_tensors(obs, params):
-    """Graph-building forward pass; returns (logits (3,), value 0-d) tensors.
+    """Graph-building forward pass of one observation (a batch of one, no
+    padding); returns (logits (3,), value 0-d) tensors.
 
     The value is the head's raw output, in normalized return units.
     """
-    cls_tok = nm.reshape(make_cls_token(obs.ownship, params), (1, params.config.d_emb))
-    intr_tok = make_intruder_tokens(obs.intruders, params)
-    tokens = cls_tok if intr_tok is None else nm.concat([cls_tok, intr_tok], axis=0)
-    encoded = _encoder(tokens, params)
-    cls_out = nm.narrow(encoded, 0, 0, 1)
-    logits = nm.reshape(nm.add(nm.matmul(cls_out, params.pi_w), params.pi_b), (N_ACTIONS,))
-    value = nm.reshape(nm.add(nm.matmul(cls_out, params.v_w), params.v_b), ())
-    return logits, value
+    logits, value = forward_batch(*pad_observations([obs]), params)
+    return nm.reshape(logits, (N_ACTIONS,)), nm.reshape(value, ())
 
 
 def forward(obs, params):
@@ -276,22 +327,6 @@ def act(obs, params, rng=None, mode="sample"):
     else:
         raise ValueError(f"unknown action mode {mode!r}")
     return Advisory(a), float(logp[a]), value
-
-
-def evaluate_actions(obs_batch, action_batch, params):
-    """Per-sample log-probs, entropies and values (reward units) for heterogeneous observations."""
-    n = len(obs_batch)
-    log_probs = np.empty(n)
-    entropies = np.empty(n)
-    values = np.empty(n)
-    for i, (obs, action) in enumerate(zip(obs_batch, action_batch)):
-        logits, value = forward(obs, params)
-        logp = _log_softmax_np(logits)
-        p = np.exp(logp)
-        log_probs[i] = logp[int(action)]
-        entropies[i] = -float((p * logp).sum())
-        values[i] = value
-    return log_probs, entropies, values
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ import numpy as np
 from . import airspace, numerics as nm, policy as policy_mod
 from .airspace import EnvKind, SectorParams, make_world
 from .featurize import featurize
-from .policy import PolicyConfig, forward_tensors, init_params
+from .numerics import Tensor
+from .policy import PolicyConfig, forward_batch, init_params
 from .reward import RewardParams, compute_reward
 
 STATS_HEADER = (
@@ -208,6 +209,9 @@ def collect_rollouts(envs, params, horizon, rng):
     Agents removed mid-horizon close their track with done = 1 (terminal,
     bootstrap 0); agents still active at the end get a truncation bootstrap
     from the value head. Envs whose episode finishes regenerate immediately.
+    A step counts against the horizon only if some aircraft is aloft: an env
+    with none (before the first spawn, or between spawns) is stepped with no
+    actions until one spawns, so every counted step yields transitions.
     Stored values and bootstraps are in reward units: the value head's
     normalized output de-normalized with the parameters' current statistics.
     """
@@ -215,8 +219,13 @@ def collect_rollouts(envs, params, horizon, rng):
     open_tracks = {}
     for _ in range(horizon):
         for env_index, env in enumerate(envs):
-            if env.world.is_done():
-                env.regenerate()
+            # a world with no aircraft aloft makes no decision: fly it (not
+            # jump its clock) to the next spawn, off the horizon's count
+            while env.world.is_done() or not env.world.aircraft:
+                if env.world.is_done():
+                    env.regenerate()
+                else:
+                    airspace.step(env.world, {})
             obs_map = env.observe()
             actions, chosen = {}, {}
             for aid, obs in obs_map.items():
@@ -332,6 +341,34 @@ def clip_grad_norm(params, max_norm):
     return norm
 
 
+def ppo_loss(params, rows, actions, logp_old, advantages, returns, values_old, hparams):
+    """PPO objective of one minibatch as one graph.
+
+    ``rows`` is ``(ownship, intruders, counts)`` as :func:`~airsep.policy.pad_observations`
+    builds them; the other arrays hold one entry per row, with returns and
+    old values in normalized units. The loss is the negated mean clipped
+    surrogate, plus ``vf_coef`` times half the mean (clipped) squared value
+    error, minus ``entropy_coef`` times the mean entropy. Returns the tensors
+    ``(total, policy_loss, value_loss, entropy, ratio)``.
+    """
+    eps = hparams.clip_eps
+    logits, value = forward_batch(*rows, params)
+    lsm = nm.log_softmax(logits)
+    ratio = nm.exp(nm.pick(lsm, actions) - Tensor(logp_old))
+    adv = Tensor(advantages)
+    surrogate = nm.minimum(ratio * adv, nm.clip(ratio, 1.0 - eps, 1.0 + eps) * adv)
+    policy_loss = nm.neg(nm.tmean(surrogate))
+    v_err = value - Tensor(returns)
+    if hparams.value_clipping:
+        v_clip_err = nm.clip(value - Tensor(values_old), -eps, eps) + Tensor(values_old - returns)
+        value_loss = nm.tmean(nm.maximum(nm.square(v_err), nm.square(v_clip_err))) * 0.5
+    else:
+        value_loss = nm.tmean(nm.square(v_err)) * 0.5
+    entropy = nm.neg(nm.tsum(nm.mul(nm.exp(lsm), lsm))) / len(actions)
+    total = policy_loss + value_loss * hparams.vf_coef - entropy * hparams.entropy_coef
+    return total, policy_loss, value_loss, entropy, ratio
+
+
 def ppo_update(params, buffer, hparams, rng, optimizer):
     """One PPO optimization pass over a collected buffer with GAE attached.
 
@@ -341,9 +378,10 @@ def ppo_update(params, buffer, hparams, rng, optimizer):
     way, so value clipping by ``clip_eps`` happens in normalized units. Per
     epoch the pooled transitions are shuffled and consumed in minibatches;
     advantages are normalized per minibatch, the clipped surrogate and clipped
-    value loss are combined with an entropy bonus, gradients are norm-clipped,
-    and the optimizer steps. The reported value loss is in normalized units,
-    ``mean_lambda_return`` in reward units.
+    value loss are combined with an entropy bonus (:func:`ppo_loss`, one
+    batched forward and one backward per minibatch), gradients are
+    norm-clipped, and the optimizer steps. The reported value loss is in
+    normalized units, ``mean_lambda_return`` in reward units.
     """
     if buffer.advantages is None:
         raise ValueError("compute_gae must run before ppo_update")
@@ -355,7 +393,7 @@ def ppo_update(params, buffer, hparams, rng, optimizer):
     params.value_norm.update(buffer.lambda_returns)
     ret_all = params.value_norm.normalize(buffer.lambda_returns)
     values_old = params.value_norm.normalize(values_old)
-    eps = hparams.clip_eps
+    ownship, intruders, counts = policy_mod.pad_observations(obs_list)
     tensors = params.tensors()
 
     pol_hist, val_hist, tot_hist, ent_hist, clip_hist, norm_hist = [], [], [], [], [], []
@@ -366,30 +404,11 @@ def ppo_update(params, buffer, hparams, rng, optimizer):
             mb_adv = adv_all[idx]
             if hparams.advantage_normalization:
                 mb_adv = normalize_advantages(mb_adv)
-            surrogate_terms, value_terms, entropy_terms = [], [], []
-            ratios = np.empty(len(idx))
-            for j, s in enumerate(idx):
-                logits, value = forward_tensors(obs_list[s], params)
-                lsm = nm.log_softmax(logits)
-                log_prob = nm.pick(lsm, actions[s])
-                ratio = nm.exp(log_prob - float(logp_old[s]))
-                ratios[j] = float(ratio.data)
-                a = float(mb_adv[j])
-                surrogate_terms.append(nm.minimum(ratio * a, nm.clip(ratio, 1.0 - eps, 1.0 + eps) * a))
-                probs = nm.exp(lsm)
-                entropy_terms.append(nm.neg(nm.tsum(nm.mul(probs, lsm))))
-                v_err = value - float(ret_all[s])
-                if hparams.value_clipping:
-                    v_clip_err = nm.clip(value - float(values_old[s]), -eps, eps) + (
-                        float(values_old[s]) - float(ret_all[s])
-                    )
-                    value_terms.append(nm.maximum(nm.square(v_err), nm.square(v_clip_err)))
-                else:
-                    value_terms.append(nm.square(v_err))
-            policy_loss = nm.neg(nm.tmean(nm.stack(surrogate_terms)))
-            value_loss = nm.tmean(nm.stack(value_terms)) * 0.5
-            entropy = nm.tmean(nm.stack(entropy_terms))
-            total = policy_loss + value_loss * hparams.vf_coef - entropy * hparams.entropy_coef
+            width = int(counts[idx].max())
+            rows = (ownship[idx], intruders[idx, :width], counts[idx])
+            total, policy_loss, value_loss, entropy, ratio = ppo_loss(
+                params, rows, actions[idx], logp_old[idx], mb_adv, ret_all[idx], values_old[idx], hparams
+            )
             nm.zero_grads(tensors)
             nm.backward(total)
             norm_hist.append(clip_grad_norm(tensors, hparams.max_grad_norm))
@@ -398,7 +417,7 @@ def ppo_update(params, buffer, hparams, rng, optimizer):
             val_hist.append(float(value_loss.data))
             tot_hist.append(float(total.data))
             ent_hist.append(float(entropy.data))
-            clip_hist.append(float(np.mean(np.abs(ratios - 1.0) > eps)))
+            clip_hist.append(float(np.mean(np.abs(ratio.data - 1.0) > hparams.clip_eps)))
 
     return TrainStats(
         update=-1,

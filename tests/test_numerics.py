@@ -171,7 +171,7 @@ def test_attention_single_token_reduces_to_value_projection():
     rng = np.random.default_rng(2)
     params = AttentionParams.create(rng, 8)
     token = _rand((1, 8), 9, grad=False)
-    out = nm.self_attention(token, params, 2).data
+    out = nm.attention(token, token, params, 2).data
     v = token.data @ params.wv.data + params.bv.data
     expected = v @ params.wo.data + params.bo.data
     assert np.max(np.abs(out - expected)) < 1e-12
@@ -182,21 +182,59 @@ def test_attention_head_divisibility():
     assert 128 % 16 == 0 and 128 // 16 == 8
     params = AttentionParams.create(rng, 128)
     tokens = _rand((4, 128), 1, grad=False)
-    out = nm.self_attention(tokens, params, 16)
+    out = nm.attention(tokens, tokens, params, 16)
     assert out.data.shape == (4, 128)
     with pytest.raises(nm.ConfigError):
-        nm.self_attention(tokens, params, 15)
+        nm.attention(tokens, tokens, params, 15)
 
 
 def test_attention_permutation_equivariance():
     rng = np.random.default_rng(4)
     params = AttentionParams.create(rng, 16)
     tokens = _rand((6, 16), 3, grad=False)
-    base = nm.self_attention(tokens, params, 4).data
+    base = nm.attention(tokens, tokens, params, 4).data
     for seed in range(20):
         perm = np.random.default_rng(seed).permutation(6)
-        permuted = nm.self_attention(Tensor(tokens.data[perm]), params, 4).data
+        shuffled = Tensor(tokens.data[perm])
+        permuted = nm.attention(shuffled, shuffled, params, 4).data
         assert np.max(np.abs(permuted - base[perm])) < 1e-10
+
+
+def test_mha_core_masked_keys_get_exactly_zero_weight():
+    # padded keys get weight exactly 0: a query whose only real key is the
+    # first one returns that key's value row bit for bit, whatever the padding
+    rng = np.random.default_rng(5)
+    q = Tensor(rng.standard_normal((2, 3, 8)))
+    k = Tensor(rng.standard_normal((2, 5, 8)) * 50.0)
+    v = Tensor(rng.standard_normal((2, 5, 8)))
+    mask = np.arange(5) < np.array([[1], [3]])
+    out = nm.mha_core(q, k, v, 2, mask).data
+    assert np.array_equal(out[0], np.tile(v.data[0, 0], (3, 1)))
+    trimmed = nm.mha_core(Tensor(q.data[1:]), Tensor(k.data[1:, :3]), Tensor(v.data[1:, :3]), 2).data
+    assert np.max(np.abs(out[1] - trimmed[0])) < 1e-14
+    with pytest.raises(ShapeError):
+        nm.mha_core(q, k, Tensor(v.data[:, :4]), 2)
+
+
+def test_batched_ops_match_their_rows():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((3, 4, 5))
+    w = rng.standard_normal((5, 2))
+    out = nm.matmul(Tensor(a), Tensor(w)).data
+    assert out.shape == (3, 4, 2)
+    for i in range(3):
+        assert np.max(np.abs(out[i] - a[i] @ w)) < 1e-14
+    with pytest.raises(ShapeError):
+        nm.matmul(Tensor(a), Tensor(rng.standard_normal((3, 5, 2))))
+    gain, bias = Tensor(rng.standard_normal(5)), Tensor(rng.standard_normal(5))
+    normed = nm.layer_norm(Tensor(a), gain, bias).data
+    for i in range(3):
+        assert np.max(np.abs(normed[i] - nm.layer_norm(Tensor(a[i]), gain, bias).data)) < 1e-14
+    rows = Tensor(rng.standard_normal((4, 3)))
+    picked = nm.pick(rows, [2, 0, 1, 2])
+    assert np.array_equal(picked.data, rows.data[np.arange(4), [2, 0, 1, 2]])
+    with pytest.raises(ShapeError):
+        nm.pick(rows, [0, 1])
 
 
 # ---------------------------------------------------------------------------

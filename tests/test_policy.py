@@ -14,13 +14,14 @@ from airsep.policy import (
     PolicyConfig,
     ValueNormalizer,
     act,
-    evaluate_actions,
     forward,
+    forward_batch,
     forward_tensors,
     init_params,
     load_policy,
     make_cls_token,
     make_intruder_tokens,
+    pad_observations,
     parameter_count,
     save_policy,
 )
@@ -148,12 +149,21 @@ def test_sample_requires_rng():
         act(_obs(np.random.default_rng(17), 1), params, mode="nonsense")
 
 
+def _evaluate_actions(obs_batch, actions, params):
+    """Log-probs of ``actions``, entropies and values (reward units) from one batched forward."""
+    with nm.no_grad():
+        logits, values = forward_batch(*pad_observations(obs_batch), params)
+    logp = nm.log_softmax(logits).data
+    entropies = -(np.exp(logp) * logp).sum(axis=1)
+    return logp[np.arange(len(actions)), actions], entropies, params.value_norm.denormalize(values.data)
+
+
 def test_evaluate_actions_matches_single_forward():
     params = init_params(SMALL, np.random.default_rng(18))
     rng = np.random.default_rng(19)
     obs_batch = [_obs(rng, n) for n in (0, 1, 4, 9)]
     actions = [0, 2, 1, 1]
-    log_probs, entropies, values = evaluate_actions(obs_batch, actions, params)
+    log_probs, entropies, values = _evaluate_actions(obs_batch, actions, params)
     for i, (obs, a) in enumerate(zip(obs_batch, actions)):
         logits, value = forward(obs, params)
         lse = logits.max() + math.log(np.exp(logits - logits.max()).sum())
@@ -166,7 +176,7 @@ def test_uniform_entropy_is_ln3():
     params = init_params(SMALL, np.random.default_rng(20))
     params.pi_w.data[:] = 0.0
     params.pi_b.data[:] = 0.0
-    _, entropies, _ = evaluate_actions([_obs(np.random.default_rng(21), 2)], [1], params)
+    _, entropies, _ = _evaluate_actions([_obs(np.random.default_rng(21), 2)], [1], params)
     assert abs(entropies[0] - math.log(3.0)) < 1e-12
 
 

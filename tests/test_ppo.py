@@ -363,6 +363,47 @@ def test_train_resume_from_checkpoint(tmp_path, monkeypatch):
         train(bad, tmp_path / "third")
 
 
+def test_train_survives_a_late_first_spawn(tmp_path):
+    # config seed 0 draws training worlds whose first aircraft spawn after the
+    # 256-step horizon in both envs; counting those idle steps against the
+    # horizon left the buffer empty and ppo_update raised
+    cfg = training_config_from_dict(
+        {
+            "seed": 0,
+            "scenario": {"env": "training"},
+            "network": {"d_emb": 8, "d_ff": 16, "heads": 2, "layers": 1},
+            "ppo": {"updates": 1, "n_envs": 2, "horizon": 256, "batch_size": 64, "epochs": 1},
+            "checkpoint_every": 0,
+        }
+    )
+    steps = []
+    original_step = ppo_module.airspace.step
+
+    def recording_step(world, joint_actions):
+        steps.append(len(joint_actions))
+        return original_step(world, joint_actions)
+
+    seen = []
+    original_collect = ppo_module.collect_rollouts
+
+    def recording_collect(envs, params, horizon, rng):
+        buffer = original_collect(envs, params, horizon, rng)
+        seen.append(len(buffer))
+        return buffer
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ppo_module.airspace, "step", recording_step)
+        mp.setattr(ppo_module, "collect_rollouts", recording_collect)
+        result = train(cfg, tmp_path / "run")
+    assert len(result.stats) == 1
+    # idle steps were flown, but exactly 2 x 256 steps made decisions, each
+    # with at least one transition
+    decisions = [n for n in steps if n]
+    assert len(decisions) == 2 * 256
+    assert len(decisions) < len(steps)
+    assert seen == [sum(decisions)]
+
+
 def test_scenario_spec_from_config_table_values():
     cfg = training_config_from_dict(
         {
