@@ -12,7 +12,9 @@ import csv
 import dataclasses
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,19 +97,26 @@ class SectorParams:
 
 
 class Route:
-    """Polyline of 2-D waypoints (m); consecutive waypoints must be distinct."""
+    """Polyline of 2-D waypoints (m); consecutive waypoints must be distinct.
 
-    __slots__ = ("waypoints", "_leg_lengths")
+    ``waypoints`` and the unit ``directions`` of its legs are read-only arrays.
+    """
+
+    __slots__ = ("waypoints", "directions", "_leg_lengths")
 
     def __init__(self, waypoints):
         pts = np.asarray(waypoints, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
             raise ValueError("a route needs at least two 2-D waypoints")
-        legs = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        steps = np.diff(pts, axis=0)
+        legs = np.linalg.norm(steps, axis=1)
         if np.any(legs == 0.0):
             raise ValueError("consecutive waypoints must be distinct")
+        directions = steps / legs[:, None]
         pts.setflags(write=False)
+        directions.setflags(write=False)
         self.waypoints = pts
+        self.directions = directions
         self._leg_lengths = legs
 
     @property
@@ -118,8 +127,7 @@ class Route:
         return float(self._leg_lengths[leg])
 
     def leg_direction(self, leg):
-        d = self.waypoints[leg + 1] - self.waypoints[leg]
-        return d / self._leg_lengths[leg]
+        return self.directions[leg]
 
     @property
     def length(self):
@@ -153,17 +161,16 @@ class AircraftState:
 
     @property
     def position(self):
-        w = self.route.waypoints
-        return w[self.leg] + self.route.leg_direction(self.leg) * self.leg_offset
+        return self.route.waypoints[self.leg] + self.route.directions[self.leg] * self.leg_offset
 
     @property
     def heading(self):
-        d = self.route.leg_direction(self.leg)
+        d = self.route.directions[self.leg]
         return math.atan2(d[1], d[0])
 
     @property
     def velocity(self):
-        return self.route.leg_direction(self.leg) * self.cas
+        return self.route.directions[self.leg] * self.cas
 
     def snapshot(self):
         return dataclasses.replace(self)
@@ -202,6 +209,8 @@ class WorldState:
     spawn_queue: list = field(default_factory=list)
     early_termination: bool = False
     n_spawned: int = 0
+    # the last pairwise pass; reused while every input it read is unchanged
+    _pairs: "PairGeometry | None" = field(default=None, init=False, repr=False, compare=False)
 
     def active_ids(self):
         return [ac.aircraft_id for ac in self.aircraft]
@@ -221,28 +230,131 @@ class WorldState:
 # ---------------------------------------------------------------------------
 
 
+# Plane vectors are complex numbers x + iy in this section: conj(a) * b holds
+# the dot product a.b in its real part and the cross product a x b in its
+# imaginary part, and b * conj(u) turns b into the frame of the unit vector u.
+
+
+def _complex(vectors):
+    """View of 2-D float vectors (a contiguous last axis of x, y) as complex numbers."""
+    return vectors.view(np.complex128)[..., 0]
+
+
+def _pairs_of_floats(z):
+    """Complex array as floats: a trailing axis of (real, imag)."""
+    return z.view(np.float64).reshape(*z.shape, 2)
+
+
+def _length(z):
+    """|z| as sqrt(x*x + y*y): exactly 0 when both squares underflow, so a unit vector exists otherwise."""
+    return np.sqrt((z.conj() * z).real)
+
+
+def separation(rel):
+    """Length of 2-D offsets along the last axis; the one distance formula of the package."""
+    return _length(_complex(np.ascontiguousarray(rel, dtype=np.float64)))
+
+
+def _los_time(zp, zv, inside, r):
+    """Elementwise :func:`time_to_los` of complex relative positions and velocities.
+
+    ``inside`` marks the pairs already within ``r``: their time is 0. The
+    others take the smaller root of ||v||^2 t^2 + 2 (p.v) t + ||p||^2 - r^2 = 0,
+    whose discriminant over 4 is r^2 ||v||^2 - (p x v)^2, or inf when the pair
+    never closes to ``r``.
+    """
+    pv = zp.conj() * zv                  # p.v + i p x v
+    vv = (zv.conj() * zv).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (-pv.real - np.sqrt(vv * (r * r) - pv.imag * pv.imag)) / vv
+    t[~(t >= 0.0)] = np.inf
+    t[inside] = 0.0
+    return t
+
+
 def time_to_los(p, v, r):
     """Smallest t >= 0 with ||p + v t|| = r, or None if the pair never closes to r.
 
-    Solves ||v||^2 t^2 + 2 (p.v) t + (||p||^2 - r^2) = 0. Returns 0.0 when the
-    separation is already <= r.
+    Returns 0.0 when the separation is already <= r.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    p = np.asarray(p, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    c = float(p @ p) - r * r
-    if c <= 0.0:
-        return 0.0
-    a = float(v @ v)
-    if a == 0.0:
-        return None
-    b = 2.0 * float(p @ v)
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return None
-    t = (-b - math.sqrt(disc)) / (2.0 * a)
-    return t if t >= 0.0 else None
+    p = np.array(p, dtype=np.float64).reshape(1, 2)
+    v = np.array(v, dtype=np.float64).reshape(1, 2)
+    t = float(_los_time(_complex(p), _complex(v), separation(p) <= r, r)[0])
+    return None if t == math.inf else t
+
+
+#: column order of one egocentric intruder row
+INTRUDER_FEATURES = ("d_nmac", "d_pz", "sin_theta", "cos_theta", "b_los", "v_p", "v_psi")
+
+
+class PairGeometry(NamedTuple):
+    """All-pairs geometry of one world state, rows and columns in aircraft-id order.
+
+    Entry ``[i, j]`` describes aircraft ``j`` as seen from aircraft ``i``.
+    ``intruders[i, j]`` is j's egocentric row for i, columns as in
+    :data:`INTRUDER_FEATURES`: the separation minus r_nmac and minus r_pz,
+    in sector diameters; the sine and cosine of j's bearing relative to i's
+    heading; 1.0 if the separation is <= r_pz, else 0.0; and the radial and
+    tangential components of j's velocity relative to i, in v_max (radial
+    along i->j, tangential a quarter turn CCW from it). Coincident aircraft
+    have bearing 0 and zero closure.
+    """
+
+    key: tuple
+    ids: tuple
+    index: dict              # aircraft id -> row
+    dist: np.ndarray         # (n, n) separations, m
+    t_los: np.ndarray        # (n, n) time to loss of separation, s: 0 inside r_pz, inf if never
+    intruders: np.ndarray    # (n, n, 7)
+
+
+_BY_ID = operator.attrgetter("aircraft_id")
+_PASS_INPUTS = operator.attrgetter("aircraft_id", "route", "leg", "leg_offset", "cas")
+
+
+def pair_geometry(world):
+    """The world's pairwise pass, recomputed only when an input it reads has changed.
+
+    Those inputs are the sector and each aircraft's id, route (by identity),
+    leg, leg offset and airspeed, in list order; the clock is not one of them.
+    """
+    key = (world.sector, tuple(map(_PASS_INPUTS, world.aircraft)))
+    pairs = world._pairs
+    if pairs is None or pairs.key != key:
+        pairs = world._pairs = _pairwise_pass(world.sector, world.aircraft, key)
+    return pairs
+
+
+def _pairwise_pass(sector, aircraft, key):
+    acs = sorted(aircraft, key=_BY_ID)
+    legs = np.array([
+        (ac.route.waypoints[ac.leg], ac.route.directions[ac.leg], (ac.leg_offset, ac.cas)) for ac in acs
+    ])
+    head = _complex(legs[:, 1])
+    kin = head[:, None] * legs[:, 2]      # heading times (leg offset, airspeed)
+    kin[:, 0] += _complex(legs[:, 0])     # plus the leg start: (position, velocity)
+    rel = kin - kin[:, None]              # [i, j]: aircraft j relative to aircraft i
+    zp, zv = rel[..., 0], rel[..., 1]
+    dist = _length(zp)
+    inside = dist <= sector.r_pz
+    coincident = dist == 0.0
+    back = zp.conj() / (dist + coincident)   # conj of the unit vector i->j; 0 when coincident
+    # conj(u) * i h = sin + i cos of the bearing of u from heading h; conj(u) * v = v.u + i u x v
+    intruders = np.concatenate(
+        (
+            (dist[..., None] - (sector.r_nmac, sector.r_pz)) / (2.0 * sector.sector_radius),
+            _pairs_of_floats(back * (1j * head)[:, None]),
+            inside[..., None],
+            _pairs_of_floats(back * zv) / sector.v_max,
+        ),
+        axis=-1,
+    )
+    intruders[..., 3] += coincident
+    ids = tuple(ac.aircraft_id for ac in acs)
+    t_los = _los_time(zp, zv, inside, sector.r_pz)
+    return PairGeometry(key, ids, {aid: k for k, aid in enumerate(ids)}, dist, t_los, intruders)
 
 
 def detect_events(world):
@@ -250,25 +362,27 @@ def detect_events(world):
 
     Boundaries are inclusive; the three kinds are mutually exclusive per pair.
     Conflict prediction extrapolates current straight-line velocities (upcoming
-    waypoint turns are ignored) out to the look-ahead horizon.
+    waypoint turns are ignored) out to the look-ahead horizon. Events come in
+    id order of the pair, first member first.
     """
+    if len(world.aircraft) < 2:
+        return []
     sector = world.sector
+    pairs = pair_geometry(world)
+    rows, cols = np.nonzero(pairs.t_los <= sector.lookahead)
     events = []
-    acs = sorted(world.aircraft, key=lambda a: a.aircraft_id)
-    for i in range(len(acs)):
-        for j in range(i + 1, len(acs)):
-            a, b = acs[i], acs[j]
-            rel_p = b.position - a.position
-            sep = float(np.linalg.norm(rel_p))
-            pair = (a.aircraft_id, b.aircraft_id)
-            if sep <= sector.r_nmac:
-                events.append(SafetyEvent(EventKind.NMAC, pair, world.clock))
-            elif sep <= sector.r_pz:
-                events.append(SafetyEvent(EventKind.LOS, pair, world.clock))
-            else:
-                t = time_to_los(rel_p, b.velocity - a.velocity, sector.r_pz)
-                if t is not None and t <= sector.lookahead:
-                    events.append(SafetyEvent(EventKind.CONFLICT, pair, world.clock, t_los=t))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i >= j:
+            continue
+        pair = (pairs.ids[i], pairs.ids[j])
+        sep = pairs.dist[i, j]
+        if sep <= sector.r_nmac:
+            events.append(SafetyEvent(EventKind.NMAC, pair, world.clock))
+        elif sep <= sector.r_pz:
+            events.append(SafetyEvent(EventKind.LOS, pair, world.clock))
+        else:
+            t = float(pairs.t_los[i, j])
+            events.append(SafetyEvent(EventKind.CONFLICT, pair, world.clock, t_los=t))
     return events
 
 
@@ -312,10 +426,7 @@ def _insert_due_spawns(world):
         sp = world.spawn_queue.pop(0)
         route = world.routes[sp.route_index]
         origin = route.waypoints[0]
-        blocked = any(
-            float(np.linalg.norm(ac.position - origin)) <= sector.r_pz
-            for ac in world.aircraft
-        )
+        blocked = any(separation(ac.position - origin) <= sector.r_pz for ac in world.aircraft)
         if blocked:
             deferred = dataclasses.replace(sp, time=world.clock + sector.decision_interval)
             bisect.insort(world.spawn_queue, deferred)

@@ -2,27 +2,21 @@
 
 All features are expressed in the deciding aircraft's frame, so rigid
 rotations/translations of the whole world leave observations unchanged.
-Bearings enter as (sin, cos) to stay continuous across the +/-pi seam.
+Bearings enter as (sin, cos) to stay continuous across the +/-pi seam. They
+are not computed from an angle: the unit vector from ownship to intruder,
+rotated into the ownship's unit heading, is (cos, sin) of the relative
+bearing. Coincident aircraft (only reachable after an NMAC) have no such
+vector; they get bearing 0 (sin 0, cos 1) and zero closure.
+
+Intruder rows are rows of the world's pairwise pass
+(:func:`airspace.pair_geometry`), which every agent of one world state shares.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-#: column order of one intruder feature row
-INTRUDER_FEATURES = ("d_nmac", "d_pz", "sin_theta", "cos_theta", "b_los", "v_p", "v_psi")
-
-
-@dataclass(frozen=True)
-class RelativeKinematics:
-    """Raw pairwise geometry of one intruder seen from the ownship (SI units)."""
-
-    d: float         # Euclidean separation
-    theta: float     # bearing relative to ownship heading, in (-pi, pi]
-    v_p: float       # radial closure speed along the ownship->intruder axis
-    v_psi: float     # tangential speed, axis rotated CCW by pi/2
-    degenerate: bool = False
+from .airspace import INTRUDER_FEATURES, pair_geometry
 
 
 @dataclass(frozen=True)
@@ -37,41 +31,11 @@ class EgoObservation:
         return self.intruders.shape[0]
 
 
-def _wrap_angle(a):
-    """Wrap to (-pi, pi]."""
-    w = (a + math.pi) % (2.0 * math.pi) - math.pi
-    return w + 2.0 * math.pi if w <= -math.pi else w
-
-
-def relative_kinematics(own, intruder):
-    """Distance, relative bearing, and radial/tangential closure of one intruder.
-
-    Coincident positions leave the radial axis undefined; that degenerate case
-    (only reachable after an NMAC) reports theta = 0 and zero closure, flagged.
-    """
-    if own.aircraft_id == intruder.aircraft_id:
-        raise ValueError("ownship and intruder must be distinct aircraft")
-    rel_p = intruder.position - own.position
-    rel_v = intruder.velocity - own.velocity
-    d = float(np.linalg.norm(rel_p))
-    if d == 0.0:
-        return RelativeKinematics(d=0.0, theta=0.0, v_p=0.0, v_psi=0.0, degenerate=True)
-    theta = _wrap_angle(math.atan2(rel_p[1], rel_p[0]) - own.heading)
-    e_p = rel_p / d
-    e_psi = np.array([-e_p[1], e_p[0]])  # CCW quarter turn
-    return RelativeKinematics(
-        d=d,
-        theta=theta,
-        v_p=float(rel_v @ e_p),
-        v_psi=float(rel_v @ e_psi),
-    )
-
-
 def featurize(world, aircraft_id):
     """Egocentric observation of one active aircraft.
 
     Ownship block: (cas / v_max, |cas - v_des| / (v_max - v_min)). Each other
-    active aircraft contributes one row, regardless of range:
+    active aircraft contributes one row, regardless of range, in id order:
     boundary distances d - r_nmac and d - r_pz scaled by the sector diameter,
     (sin, cos) of the relative bearing, the inclusive in-protection-zone
     indicator, and radial/tangential closure scaled by v_max.
@@ -80,22 +44,10 @@ def featurize(world, aircraft_id):
     own = world.get(aircraft_id)
     speed_span = sector.v_max - sector.v_min
     ownship = np.array([own.cas / sector.v_max, abs(own.cas - own.v_des) / speed_span])
+    if len(world.aircraft) == 1:
+        return EgoObservation(ownship=ownship, intruders=np.empty((0, len(INTRUDER_FEATURES))))
 
-    others = sorted(
-        (ac for ac in world.aircraft if ac.aircraft_id != aircraft_id),
-        key=lambda a: a.aircraft_id,
-    )
-    rows = np.empty((len(others), 7), dtype=np.float64)
-    dist_scale = 2.0 * sector.sector_radius
-    for k, intr in enumerate(others):
-        rk = relative_kinematics(own, intr)
-        rows[k] = (
-            (rk.d - sector.r_nmac) / dist_scale,
-            (rk.d - sector.r_pz) / dist_scale,
-            math.sin(rk.theta),
-            math.cos(rk.theta),
-            1.0 if rk.d <= sector.r_pz else 0.0,
-            rk.v_p / sector.v_max,
-            rk.v_psi / sector.v_max,
-        )
-    return EgoObservation(ownship=ownship, intruders=rows)
+    pairs = pair_geometry(world)
+    i = pairs.index[aircraft_id]
+    intruders = np.concatenate((pairs.intruders[i, :i], pairs.intruders[i, i + 1:]))
+    return EgoObservation(ownship=ownship, intruders=intruders)

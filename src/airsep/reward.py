@@ -6,9 +6,7 @@ per-step reward lies in [-2, 1] except for the -100 NMAC case.
 
 from dataclasses import dataclass, fields
 
-import numpy as np
-
-from .airspace import EventKind
+from .airspace import EventKind, separation
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ def compute_reward(states, agent_id, events, params, sector):
         reward = -params.alpha_conflict * _clip01((horizon - t_min) / horizon)
         if any(e.kind is EventKind.LOS for e in threatened):
             d_min = min(
-                float(np.linalg.norm(other.position - own.position))
+                float(separation(other.position - own.position))
                 for other_id, other in states.items()
                 if other_id != agent_id
             )

@@ -13,7 +13,7 @@ from airsep.airspace import (
     SectorParams,
     WorldState,
 )
-from airsep.featurize import INTRUDER_FEATURES, featurize, relative_kinematics
+from airsep.featurize import INTRUDER_FEATURES, featurize
 
 
 def _aircraft(aid, pos, heading, cas, v_des=None):
@@ -37,49 +37,52 @@ def _world(aircraft, sector=None):
 
 
 # ---------------------------------------------------------------------------
-# relative kinematics
+# pairwise geometry, read through the intruder row
 # ---------------------------------------------------------------------------
+
+
+def _row(own, intr):
+    return dict(zip(INTRUDER_FEATURES, featurize(_world([own, intr]), own.aircraft_id).intruders[0]))
 
 
 def test_three_four_five_bearing():
     own = _aircraft("A", [0, 0], math.pi / 2, 100 * KT)
     intr = _aircraft("B", [3 * NM, 4 * NM], 0.0, 100 * KT)
-    rk = relative_kinematics(own, intr)
-    assert abs(rk.d - 5 * NM) < 1e-9
-    assert abs(math.sin(rk.theta) + 0.6) < 1e-12
-    assert abs(math.cos(rk.theta) - 0.8) < 1e-12
+    row = _row(own, intr)
+    sector = SectorParams()
+    d = row["d_nmac"] * 2 * sector.sector_radius + sector.r_nmac
+    assert abs(d - 5 * NM) < 1e-9
+    assert abs(row["sin_theta"] + 0.6) < 1e-12
+    assert abs(row["cos_theta"] - 0.8) < 1e-12
 
 
 def test_radial_tangential_projection():
     own = _aircraft("A", [0, 0], 0.0, 10 * KT)               # eastbound at 10 kt
     intr = _aircraft("B", [1 * NM, 0], math.pi / 2, 5 * KT)  # northbound at 5 kt
-    rk = relative_kinematics(own, intr)
-    assert abs(rk.v_p - (-10 * KT)) < 1e-12
-    assert abs(rk.v_psi - 5 * KT) < 1e-12
+    row = _row(own, intr)
+    v_max = SectorParams().v_max
+    assert abs(row["v_p"] * v_max - (-10 * KT)) < 1e-12
+    assert abs(row["v_psi"] * v_max - 5 * KT) < 1e-12
 
 
 def test_dead_ahead_bearing():
     own = _aircraft("A", [0, 0], 0.7, 100 * KT)
     ahead = np.array([math.cos(0.7), math.sin(0.7)]) * 2 * NM
     intr = _aircraft("B", ahead, 0.7, 100 * KT)
-    rk = relative_kinematics(own, intr)
-    assert abs(rk.theta) < 1e-12
-    assert abs(math.sin(rk.theta)) < 1e-12
-    assert abs(math.cos(rk.theta) - 1.0) < 1e-12
+    row = _row(own, intr)
+    assert abs(row["sin_theta"]) < 1e-12
+    assert abs(row["cos_theta"] - 1.0) < 1e-12
 
 
-def test_coincident_positions_flagged_degenerate():
+def test_coincident_positions_give_zero_bearing_and_closure():
     own = _aircraft("A", [1000.0, 2000.0], 0.0, 50 * KT)
     intr = _aircraft("B", [1000.0, 2000.0], 1.0, 80 * KT)
-    rk = relative_kinematics(own, intr)
-    assert rk.degenerate
-    assert rk.d == 0.0 and rk.theta == 0.0 and rk.v_p == 0.0 and rk.v_psi == 0.0
-
-
-def test_same_aircraft_rejected():
-    own = _aircraft("A", [0, 0], 0.0, 50 * KT)
-    with pytest.raises(ValueError):
-        relative_kinematics(own, own)
+    row = _row(own, intr)
+    sector = SectorParams()
+    assert row["d_nmac"] == -sector.r_nmac / (2 * sector.sector_radius)
+    assert row["sin_theta"] == 0.0 and row["cos_theta"] == 1.0
+    assert row["v_p"] == 0.0 and row["v_psi"] == 0.0
+    assert row["b_los"] == 1.0
 
 
 # ---------------------------------------------------------------------------
