@@ -230,46 +230,41 @@ class WorldState:
 # ---------------------------------------------------------------------------
 
 
-# Plane vectors are complex numbers x + iy in this section: conj(a) * b holds
-# the dot product a.b in its real part and the cross product a x b in its
-# imaginary part, and b * conj(u) turns b into the frame of the unit vector u.
+# The pass below computes every quantity with the arithmetic of the
+# per-aircraft ``position``/``velocity``/``heading`` properties and scalar
+# formulas (``np.linalg.norm``, ``a @ b``, ``math.atan2`` and an angle wrap),
+# so its rows equal a per-pair loop's bit for bit. That matters: a PPO run is
+# chaotic in the last bit of its inputs, and a rounding difference in one
+# feature gives a different training run a few updates later. Dot products
+# of 2-vectors therefore go through numpy's dot routine (a BLAS ddot, which
+# ``np.linalg.norm`` and ``a @ b`` use for one vector): matmul of (1, 2) by
+# (2, 1) blocks calls it once per block, whereas ``x*x + y*y`` or ``einsum``
+# round differently.
 
 
-def _complex(vectors):
-    """View of 2-D float vectors (a contiguous last axis of x, y) as complex numbers."""
-    return vectors.view(np.complex128)[..., 0]
-
-
-def _pairs_of_floats(z):
-    """Complex array as floats: a trailing axis of (real, imag)."""
-    return z.view(np.float64).reshape(*z.shape, 2)
-
-
-def _length(z):
-    """|z| as sqrt(x*x + y*y): exactly 0 when both squares underflow, so a unit vector exists otherwise."""
-    return np.sqrt((z.conj() * z).real)
+def _dots(a, b):
+    """a . b over the last axis of two 2-D vector arrays, rounded as ``a @ b`` for one pair."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def separation(rel):
     """Length of 2-D offsets along the last axis; the one distance formula of the package."""
-    return _length(_complex(np.ascontiguousarray(rel, dtype=np.float64)))
+    rel = np.asarray(rel, dtype=np.float64)
+    return np.sqrt(_dots(rel, rel))
 
 
-def _los_time(zp, zv, inside, r):
-    """Elementwise :func:`time_to_los` of complex relative positions and velocities.
+def _los_time(pp, pv, vv, r):
+    """Elementwise :func:`time_to_los` from the dot products p.p, p.v and v.v.
 
-    ``inside`` marks the pairs already within ``r``: their time is 0. The
-    others take the smaller root of ||v||^2 t^2 + 2 (p.v) t + ||p||^2 - r^2 = 0,
-    whose discriminant over 4 is r^2 ||v||^2 - (p x v)^2, or inf when the pair
-    never closes to ``r``.
+    0 where p.p <= r^2, else the smaller root of
+    ||v||^2 t^2 + 2 (p.v) t + ||p||^2 - r^2 = 0, or inf when the pair never
+    closes to ``r`` (no motion, a negative discriminant or a root behind).
     """
-    pv = zp.conj() * zv                  # p.v + i p x v
-    vv = (zv.conj() * zv).real
+    c = pp - r * r
+    b = 2.0 * pv
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (-pv.real - np.sqrt(vv * (r * r) - pv.imag * pv.imag)) / vv
-    t[~(t >= 0.0)] = np.inf
-    t[inside] = 0.0
-    return t
+        t = (-b - np.sqrt(b * b - 4.0 * vv * c)) / (2.0 * vv)
+    return np.where(c <= 0.0, 0.0, np.where(t >= 0.0, t, np.inf))
 
 
 def time_to_los(p, v, r):
@@ -281,8 +276,24 @@ def time_to_los(p, v, r):
         raise ValueError("radius must be positive")
     p = np.array(p, dtype=np.float64).reshape(1, 2)
     v = np.array(v, dtype=np.float64).reshape(1, 2)
-    t = float(_los_time(_complex(p), _complex(v), separation(p) <= r, r)[0])
+    t = float(_los_time(_dots(p, p), _dots(p, v), _dots(v, v), r)[0])
     return None if t == math.inf else t
+
+
+def _bearing(y, x, d, heading):
+    """(sin, cos) of the direction of (x, y), of length d, relative to ``heading``.
+
+    The angle is wrapped to (-pi, pi]; a zero-length offset has bearing 0.
+    """
+    if d == 0.0:
+        return 0.0, 1.0
+    a = (math.atan2(y, x) - heading + math.pi) % (2.0 * math.pi) - math.pi
+    if a <= -math.pi:
+        a += 2.0 * math.pi
+    return math.sin(a), math.cos(a)
+
+
+_bearings = np.frompyfunc(_bearing, 4, 2)
 
 
 #: column order of one egocentric intruder row
@@ -306,7 +317,7 @@ class PairGeometry(NamedTuple):
     ids: tuple
     index: dict              # aircraft id -> row
     dist: np.ndarray         # (n, n) separations, m
-    t_los: np.ndarray        # (n, n) time to loss of separation, s: 0 inside r_pz, inf if never
+    t_los: np.ndarray        # (n, n) time to loss of separation, s: 0 once p.p <= r_pz^2, inf if never
     intruders: np.ndarray    # (n, n, 7)
 
 
@@ -329,31 +340,29 @@ def pair_geometry(world):
 
 def _pairwise_pass(sector, aircraft, key):
     acs = sorted(aircraft, key=_BY_ID)
+    n = len(acs)
     legs = np.array([
         (ac.route.waypoints[ac.leg], ac.route.directions[ac.leg], (ac.leg_offset, ac.cas)) for ac in acs
     ])
-    head = _complex(legs[:, 1])
-    kin = head[:, None] * legs[:, 2]      # heading times (leg offset, airspeed)
-    kin[:, 0] += _complex(legs[:, 0])     # plus the leg start: (position, velocity)
-    rel = kin - kin[:, None]              # [i, j]: aircraft j relative to aircraft i
-    zp, zv = rel[..., 0], rel[..., 1]
-    dist = _length(zp)
-    inside = dist <= sector.r_pz
+    kin = legs[:, 1, None, :] * legs[:, 2, :, None]   # heading times (leg offset, airspeed)
+    kin[:, 0] += legs[:, 0]                           # plus the leg start: (position, velocity)
+    rel = kin - kin[:, None]                          # [i, j]: aircraft j relative to aircraft i
+    p, v = rel[:, :, 0], rel[:, :, 1]
+    squares = _dots(rel, rel)
+    pp, vv, pv = squares[..., 0], squares[..., 1], _dots(p, v)
+    dist = np.sqrt(pp)
     coincident = dist == 0.0
-    back = zp.conj() / (dist + coincident)   # conj of the unit vector i->j; 0 when coincident
-    # conj(u) * i h = sin + i cos of the bearing of u from heading h; conj(u) * v = v.u + i u x v
-    intruders = np.concatenate(
-        (
-            (dist[..., None] - (sector.r_nmac, sector.r_pz)) / (2.0 * sector.sector_radius),
-            _pairs_of_floats(back * (1j * head)[:, None]),
-            inside[..., None],
-            _pairs_of_floats(back * zv) / sector.v_max,
-        ),
-        axis=-1,
-    )
-    intruders[..., 3] += coincident
+    # unit vector i->j and a quarter turn CCW from it; coincident pairs have neither and no closure
+    radial = p / (dist + coincident)[..., None]
+    closure = _dots(np.stack((radial, radial[..., ::-1] * (-1.0, 1.0)), axis=-2), v[:, :, None])
+    heading = np.array([math.atan2(y, x) for x, y in legs[:, 1].tolist()])
+    intruders = np.empty((n, n, len(INTRUDER_FEATURES)))
+    intruders[..., :2] = (dist[..., None] - (sector.r_nmac, sector.r_pz)) / (2.0 * sector.sector_radius)
+    intruders[..., 2], intruders[..., 3] = _bearings(p[..., 1], p[..., 0], dist, heading[:, None])
+    intruders[..., 4] = dist <= sector.r_pz
+    intruders[..., 5:] = np.where(coincident[..., None], 0.0, closure) / sector.v_max
     ids = tuple(ac.aircraft_id for ac in acs)
-    t_los = _los_time(zp, zv, inside, sector.r_pz)
+    t_los = _los_time(pp, pv, vv, sector.r_pz)
     return PairGeometry(key, ids, {aid: k for k, aid in enumerate(ids)}, dist, t_los, intruders)
 
 
@@ -369,7 +378,7 @@ def detect_events(world):
         return []
     sector = world.sector
     pairs = pair_geometry(world)
-    rows, cols = np.nonzero(pairs.t_los <= sector.lookahead)
+    rows, cols = np.nonzero((pairs.dist <= sector.r_pz) | (pairs.t_los <= sector.lookahead))
     events = []
     for i, j in zip(rows.tolist(), cols.tolist()):
         if i >= j:

@@ -2,14 +2,15 @@
 
 All features are expressed in the deciding aircraft's frame, so rigid
 rotations/translations of the whole world leave observations unchanged.
-Bearings enter as (sin, cos) to stay continuous across the +/-pi seam. They
-are not computed from an angle: the unit vector from ownship to intruder,
-rotated into the ownship's unit heading, is (cos, sin) of the relative
-bearing. Coincident aircraft (only reachable after an NMAC) have no such
+Bearings enter as (sin, cos) to stay continuous across the +/-pi seam: the
+angle of the ownship->intruder vector minus the ownship heading, wrapped to
+(-pi, pi]. Coincident aircraft (only reachable after an NMAC) have no such
 vector; they get bearing 0 (sin 0, cos 1) and zero closure.
 
 Intruder rows are rows of the world's pairwise pass
 (:func:`airspace.pair_geometry`), which every agent of one world state shares.
+Each row equals, bit for bit, what a loop over intruders with
+``np.linalg.norm``, ``a @ b`` and ``math.atan2`` would compute.
 """
 
 from dataclasses import dataclass

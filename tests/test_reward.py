@@ -127,8 +127,7 @@ def test_branch_exclusivity_and_range_on_random_states():
         for aid in states:
             got = compute_reward(states, aid, events, PARAMS, SECTOR)
             expected, branch = _expected_reward(states, aid, events)
-            # the oracle's np.linalg.norm and the package's distance may differ in the last bit
-            assert abs(got - expected) <= 1e-12
+            assert got == expected
             branches_seen.add(branch)
             assert -PARAMS.alpha_nmac <= got <= PARAMS.alpha_v
             if branch == "nmac":
