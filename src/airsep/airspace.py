@@ -126,9 +126,6 @@ class Route:
     def leg_length(self, leg):
         return float(self._leg_lengths[leg])
 
-    def leg_direction(self, leg):
-        return self.directions[leg]
-
     @property
     def length(self):
         return float(self._leg_lengths.sum())
@@ -682,11 +679,11 @@ def build_spawn_schedule(rng, env_kind, routes, sector=None, n_aircraft=None):
     return spawns
 
 
-def make_world(env_kind, rng, sector=None, n_aircraft=None, rotation=None, early_termination=None):
+def make_world(env_kind, rng, sector=None, n_aircraft=None):
     """Assemble a fresh seeded world for one episode of the given scenario kind.
 
     ``rng`` may be a numpy Generator or an integer seed. Stopped-in-LoS early
-    termination defaults to enabled only for case C.
+    termination is enabled for case C only.
     """
     env_kind = EnvKind(env_kind)
     if not isinstance(rng, np.random.Generator):
@@ -701,33 +698,26 @@ def make_world(env_kind, rng, sector=None, n_aircraft=None, rotation=None, early
         n_aircraft = int(rng.integers(1, 11)) if n_aircraft is None else int(n_aircraft)
         routes = generate_case(env_kind, rng, sector, n_aircraft=n_aircraft)
     else:
-        routes = generate_case(env_kind, rng, sector, rotation=rotation)
+        routes = generate_case(env_kind, rng, sector)
 
     spawn_queue = build_spawn_schedule(rng, env_kind, routes, sector, n_aircraft=n_aircraft)
-    if early_termination is None:
-        early_termination = env_kind is EnvKind.CASE_C
     world = WorldState(
         sector=sector,
         routes=routes,
         spawn_queue=spawn_queue,
-        early_termination=early_termination,
+        early_termination=env_kind is EnvKind.CASE_C,
     )
     _insert_due_spawns(world)
     return world
 
 
-def make_custom_world(routes, spawns, sector=None, early_termination=False):
+def make_custom_world(routes, spawns, sector=None):
     """World from explicit routes and pending spawns (scripted tests and demos)."""
     sector = sector or SectorParams()
     ids = [sp.aircraft_id for sp in spawns]
     if len(set(ids)) != len(ids):
         raise ScenarioError("spawn ids must be unique")
-    world = WorldState(
-        sector=sector,
-        routes=list(routes),
-        spawn_queue=sorted(spawns),
-        early_termination=early_termination,
-    )
+    world = WorldState(sector=sector, routes=list(routes), spawn_queue=sorted(spawns))
     _insert_due_spawns(world)
     return world
 

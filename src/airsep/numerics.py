@@ -6,12 +6,15 @@ during the forward pass, and the network building blocks (exact-erf GELU,
 layer norm, stable log-softmax, multi-head attention with a key-padding
 mask). Everything is 64-bit; a NaN or Inf
 anywhere is treated as a bug and raises immediately.
+
+The tape is acyclic (output -> node -> inputs, never back), so reference
+counting frees a dead graph. Gradients are read-only: leaves may share one
+array, so code that rescales a gradient assigns a new one.
 """
 
 import json
 import math
 import os
-import weakref
 
 import numpy as np
 from scipy.special import erf
@@ -44,36 +47,27 @@ class ConfigError(NumericsError):
 
 
 class Node:
-    """One recorded primitive op: input tensors, output tensor, backward rule.
+    """One recorded primitive op: input tensors and backward rule.
 
     ``backward_fn`` maps the gradient w.r.t. the output to a tuple of
     gradients aligned with ``inputs`` (``None`` for non-differentiable slots).
-    The node refers to its output weakly: the output owns the node, and a
-    strong reference back would make every graph a reference cycle that only
-    the cyclic garbage collector frees, so dead graphs and their arrays would
-    pile up between collections.
     """
 
-    __slots__ = ("inputs", "_output", "backward_fn", "name")
+    __slots__ = ("inputs", "backward_fn", "name")
 
-    def __init__(self, inputs, output, backward_fn, name):
+    def __init__(self, inputs, backward_fn, name):
         self.inputs = inputs
-        self._output = weakref.ref(output)
         self.backward_fn = backward_fn
         self.name = name
 
-    @property
-    def output(self):
-        return self._output()
-
     def __repr__(self):
-        return f"Node({self.name}, out_shape={self.output.data.shape})"
+        return f"Node({self.name})"
 
 
 class Tensor:
     """A float64 array plus optional gradient buffer and producing node."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
@@ -92,10 +86,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
 
@@ -109,31 +99,16 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
     def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
         return mul(self, other)
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
             raise ShapeError("tensor/tensor division is not supported; multiply by a reciprocal")
         return mul(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 _grad_enabled = True
@@ -159,7 +134,7 @@ def _op(data, inputs, backward_fn, name):
     out = Tensor(data)
     if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.node = Node(tuple(inputs), out, backward_fn, name)
+        out.node = Node(tuple(inputs), backward_fn, name)
     return out
 
 
@@ -510,82 +485,55 @@ def attention(queries, tokens, params, heads, key_mask=None):
 # ---------------------------------------------------------------------------
 
 
-class ComputeGraph:
-    """Topologically ordered list of the nodes reaching one output tensor."""
-
-    def __init__(self, nodes):
-        self.nodes = list(nodes)
-
-    def __len__(self):
-        return len(self.nodes)
-
-    @classmethod
-    def trace(cls, output):
-        """Collect the producing nodes of ``output`` in topological order."""
-        nodes = []
-        seen = set()
-        if output.node is None:
-            return cls(nodes)
-        stack = [(output.node, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                nodes.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for t in node.inputs:
-                if t.node is not None and id(t.node) not in seen:
-                    stack.append((t.node, False))
-        return cls(nodes)
+def _topological_nodes(loss):
+    """The producing nodes of ``loss``, each after the nodes of its inputs."""
+    nodes = []
+    seen = set()
+    stack = [(loss.node, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            nodes.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for t in node.inputs:
+            if t.node is not None and id(t.node) not in seen:
+                stack.append((t.node, False))
+    return nodes
 
 
-def backward(loss, graph=None):
+def backward(loss):
     """Accumulate d(loss)/d(leaf) into ``grad`` of every requires-grad leaf.
 
     ``loss`` must be a 0-d tensor. Each recorded node is visited exactly once;
     a tensor consumed by several ops receives the sum of all path gradients.
-    Existing ``grad`` buffers are accumulated into, not overwritten.
+    Existing ``grad`` buffers are accumulated into, not overwritten. A leaf's
+    new gradient may share memory with another leaf's or with an upstream
+    gradient, so never change a gradient in place; assign a new array.
     """
     if loss.data.shape != ():
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if graph is None:
-        graph = ComputeGraph.trace(loss)
-    grads = {id(loss): np.ones((), dtype=np.float64)}
+    one = np.ones((), dtype=np.float64)
     if loss.node is None:
         if loss.requires_grad:
-            loss.grad = grads[id(loss)] if loss.grad is None else loss.grad + grads[id(loss)]
-        return graph
-    # backward rules may hand back the upstream gradient itself or a view of it
-    # (identity-like ops); leaves must own their grad buffers because clip and
-    # optimizer steps mutate them in place, so only those cases are copied
-    def aliases_upstream(g, g_out):
-        if g is g_out:
-            return True
-        if g.base is None:
-            return False
-        owner = g_out if g_out.base is None else g_out.base
-        return g.base is owner
-
-    for node in reversed(graph.nodes):
-        g_out = grads.pop(id(node.output), None)
+            loss.grad = one if loss.grad is None else loss.grad + one
+        return
+    grads = {id(loss.node): one}
+    for node in reversed(_topological_nodes(loss)):
+        g_out = grads.pop(id(node), None)
         if g_out is None:
             continue
-        in_grads = node.backward_fn(g_out)
-        for t, g in zip(node.inputs, in_grads):
+        for t, g in zip(node.inputs, node.backward_fn(g_out)):
             if g is None or not t.requires_grad:
                 continue
             if t.node is None:
-                if t.grad is not None:
-                    t.grad = t.grad + g
-                else:
-                    t.grad = g.copy() if aliases_upstream(g, g_out) else g
+                t.grad = g if t.grad is None else t.grad + g
             else:
-                key = id(t)
+                key = id(t.node)
                 grads[key] = g if key not in grads else grads[key] + g
-    return graph
 
 
 def zero_grads(params):

@@ -25,11 +25,11 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import numerics as nm
-from .airspace import Advisory
+from .airspace import INTRUDER_FEATURES, Advisory
 from .numerics import AttentionParams, ConfigError, Tensor
 
 OWNSHIP_DIM = 2
-INTRUDER_DIM = 7
+INTRUDER_DIM = len(INTRUDER_FEATURES)
 N_ACTIONS = 3
 LAYER_NORM_EPS = 1e-5
 #: lower bound on the return variance, so a batch of equal returns cannot blow up
@@ -218,7 +218,7 @@ def make_cls_token(ownship, params):
 
     ``ownship`` is one (2,) block or a batch (B, 2), with one token per row.
     """
-    own = ownship if isinstance(ownship, Tensor) else Tensor(np.asarray(ownship, dtype=np.float64))
+    own = Tensor(ownship)
     base = nm.add(Tensor(np.zeros(own.shape[:-1] + params.cls_base.shape)), params.cls_base)
     fused = nm.concat([base, own], axis=-1)
     pre = nm.add(nm.matmul(fused, params.own_w), params.own_b)
@@ -228,10 +228,9 @@ def make_cls_token(ownship, params):
 def make_intruder_tokens(intruders, params):
     """Shared affine + layer norm per intruder row, for (n, 7) or (B, n, 7)
     rows; None when there are no rows."""
-    arr = intruders.data if isinstance(intruders, Tensor) else np.asarray(intruders, dtype=np.float64)
-    if arr.shape[-2] == 0:
+    x = Tensor(intruders)
+    if x.shape[-2] == 0:
         return None
-    x = intruders if isinstance(intruders, Tensor) else Tensor(arr)
     pre = nm.add(nm.matmul(x, params.intr_w), params.intr_b)
     return nm.layer_norm(pre, params.intr_ln_gain, params.intr_ln_bias, eps=LAYER_NORM_EPS)
 

@@ -113,8 +113,6 @@ class TrainStats:
 class EnvStep:
     rewards: dict
     dones: dict
-    events: tuple
-    removals: tuple
 
 
 class SectorEnv:
@@ -154,7 +152,7 @@ class SectorEnv:
         }
         removed = {r.aircraft.aircraft_id for r in result.removals}
         dones = {aid: 1.0 if aid in removed else 0.0 for aid in actions}
-        return EnvStep(rewards=rewards, dones=dones, events=result.events, removals=result.removals)
+        return EnvStep(rewards=rewards, dones=dones)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +293,11 @@ def compute_gae(buffer, gamma, lam):
 class Adam:
     """Adaptive-moment estimation over a list of parameter tensors."""
 
-    def __init__(self, params, lr=3e-4, betas=(0.9, 0.999), eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=3e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -337,7 +335,7 @@ def clip_grad_norm(params, max_norm):
         scale = max_norm / norm
         for p in params:
             if p.grad is not None:
-                p.grad *= scale
+                p.grad = p.grad * scale
     return norm
 
 

@@ -116,8 +116,8 @@ def test_training_sector_intersection_angles_cover_range():
     rng = np.random.default_rng(0)
     for _ in range(10_000):
         r1, r2 = generate_training_sector(rng)
-        u1 = r1.leg_direction(0)
-        u2 = r2.leg_direction(0)
+        u1 = r1.directions[0]
+        u2 = r2.directions[0]
         angle = math.degrees(math.acos(np.clip(u1 @ u2, -1.0, 1.0)))
         counts[min(int(angle // 15), 11)] += 1
     assert np.all(counts > 0), counts
@@ -151,7 +151,7 @@ def test_case_b_adds_perpendicular_crossing():
     assert len(routes) == 4
     crossing = routes[3]
     outbound_dir = np.array([1.0, 0.0])
-    cross_dir = crossing.leg_direction(0)
+    cross_dir = crossing.directions[0]
     assert abs(outbound_dir @ cross_dir) < 1e-9
     # both crossing endpoints on the boundary circle, midpoint of the outbound leg on the crossing
     for w in crossing.waypoints:
@@ -430,7 +430,7 @@ def test_cross_track_error_stays_zero():
         step(world, acts)
         for ac in world.aircraft:
             a = ac.route.waypoints[ac.leg]
-            d = ac.route.leg_direction(ac.leg)
+            d = ac.route.directions[ac.leg]
             rel = ac.position - a
             cross = abs(rel[0] * d[1] - rel[1] * d[0])
             assert cross < 1e-6
@@ -537,8 +537,8 @@ def test_early_termination_only_when_enabled():
 
 def test_head_on_routes_cross_at_center():
     r1, r2 = head_on_routes()
-    d1 = r1.leg_direction(0)
-    d2 = r2.leg_direction(0)
+    d1 = r1.directions[0]
+    d2 = r2.directions[0]
     angle = math.degrees(math.acos(np.clip(d1 @ d2, -1, 1)))
     assert 150.0 <= angle <= 180.0
     assert np.allclose((r1.waypoints[0] + r1.waypoints[1]) / 2, [0, 0], atol=1e-9)

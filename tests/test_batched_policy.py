@@ -9,6 +9,7 @@ gradient to 1e-12.
 """
 
 import functools
+import gc
 import math
 
 import numpy as np
@@ -182,6 +183,18 @@ def test_batched_matches_per_sample_reference(case):
     want = _gradients(params, lambda: _loss_reference(params, observations, mb))
     for name, g, w in zip(params.named_parameters(), got, want):
         assert np.max(np.abs(g - w)) <= TOL, name
+
+
+def test_graph_is_freed_without_the_cyclic_gc():
+    params, observations, mb = _setup({"layers": 2, "counts": [0, 1, 4], "seed": 0})
+    build = _batched_loss(params, observations, mb)
+    gc.collect()
+    gc.disable()
+    try:
+        nm.backward(build())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @SETTINGS

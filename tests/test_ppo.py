@@ -216,6 +216,17 @@ def test_clip_grad_norm():
     assert post <= 0.5 + 1e-9
 
 
+def test_shared_leaf_gradients_survive_clipping():
+    # add hands both leaves the same upstream array; clipping must scale it once
+    a = nm.Tensor(np.ones((2, 2)), requires_grad=True)
+    b = nm.Tensor(np.ones((2, 2)), requires_grad=True)
+    nm.backward(nm.tsum(nm.add(a, b)))
+    clip_grad_norm([a, b], 0.5)
+    expected = np.full((2, 2), 0.5 / math.sqrt(8))
+    assert np.array_equal(a.grad, expected)
+    assert np.array_equal(b.grad, expected)
+
+
 def test_adam_single_step_matches_formula():
     p = nm.Tensor(np.array([1.0, -2.0]), requires_grad=True)
     p.grad = np.array([0.1, -0.2])
