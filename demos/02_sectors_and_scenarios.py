@@ -42,8 +42,8 @@ def main():
         result = step(world, {aid: Advisory.HOLD for aid in world.active_ids()})
         for e in result.events:
             counts[e.kind.value] += 1
-        for r in result.removals:
-            print(f"  t={world.clock:7.1f}s  {r.aircraft.aircraft_id} removed: {r.cause.value}")
+        for aid, cause in result.removals.items():
+            print(f"  t={world.clock:7.1f}s  {aid} removed: {cause.value}")
     print(f"episode over at t={world.clock:.0f}s; event steps: {dict(counts) or 'none'}")
 
 

@@ -9,11 +9,10 @@ distinct worlds are fully independent.
 
 import bisect
 import csv
-import dataclasses
 import enum
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +54,6 @@ class EventKind(enum.Enum):
 
 
 class AircraftStatus(enum.Enum):
-    ACTIVE = "active"
     ARRIVED = "arrived"
     TIMED_OUT = "timed_out"
     NMAC_REMOVED = "nmac_removed"
@@ -154,7 +152,6 @@ class AircraftState:
     v_des: float
     spawn_time: float
     eta_deadline: float
-    status: AircraftStatus = AircraftStatus.ACTIVE
 
     @property
     def position(self):
@@ -169,9 +166,6 @@ class AircraftState:
     def velocity(self):
         return self.route.directions[self.leg] * self.cas
 
-    def snapshot(self):
-        return dataclasses.replace(self)
-
 
 @dataclass(frozen=True)
 class SafetyEvent:
@@ -182,15 +176,9 @@ class SafetyEvent:
 
 
 @dataclass(frozen=True)
-class Removal:
-    aircraft: AircraftState    # final post-move snapshot
-    cause: AircraftStatus
-
-
-@dataclass(frozen=True)
 class StepResult:
     events: tuple
-    removals: tuple
+    removals: dict             # id -> AircraftStatus of each aircraft removed, in list order
     post_move: dict            # id -> post-move AircraftState snapshot, pre-removal/spawn
 
 
@@ -434,7 +422,7 @@ def _insert_due_spawns(world):
         origin = route.waypoints[0]
         blocked = any(separation(ac.position - origin) <= sector.r_pz for ac in world.aircraft)
         if blocked:
-            deferred = dataclasses.replace(sp, time=world.clock + sector.decision_interval)
+            deferred = replace(sp, time=world.clock + sector.decision_interval)
             bisect.insort(world.spawn_queue, deferred)
             continue
         spawn_time = world.clock
@@ -457,11 +445,12 @@ def step(world, joint_actions):
     """Advance the world by one decision interval under the given advisories.
 
     In order: instantaneous +/-one-increment speed change clamped to the
-    envelope; movement along routes; safety-event detection; removals
-    (arrival, then timeout, then NMAC, then stopped-in-LoS early termination
-    when enabled); due spawns. ``joint_actions`` must cover exactly the
-    active aircraft. Removal snapshots and the post-move state map let
-    callers score agents that were removed this step.
+    envelope; movement along routes; safety-event detection; removals; due
+    spawns. ``joint_actions`` must cover exactly the active aircraft. An
+    aircraft is removed with one cause, the first that holds of: arrival,
+    timeout, NMAC, stopped inside a LoS when early termination is enabled.
+    ``StepResult.removals`` maps each removed id to its cause, and the
+    post-move state map lets callers score agents removed this step.
     """
     sector = world.sector
     active = list(world.aircraft)
@@ -483,33 +472,25 @@ def step(world, joint_actions):
 
     world.clock += sector.decision_interval
     events = detect_events(world)
-    post_move = {ac.aircraft_id: ac.snapshot() for ac in active}
+    post_move = {ac.aircraft_id: replace(ac) for ac in active}
 
-    removals = []
-
-    def remove(ac, cause):
-        ac.status = cause
-        world.aircraft.remove(ac)
-        removals.append(Removal(aircraft=ac.snapshot(), cause=cause))
-
-    for ac in list(world.aircraft):
-        if ac.aircraft_id in arrived:
-            remove(ac, AircraftStatus.ARRIVED)
-    for ac in list(world.aircraft):
-        if world.clock > ac.eta_deadline:
-            remove(ac, AircraftStatus.TIMED_OUT)
     nmac_ids = {i for e in events if e.kind is EventKind.NMAC for i in e.pair}
-    for ac in list(world.aircraft):
-        if ac.aircraft_id in nmac_ids:
-            remove(ac, AircraftStatus.NMAC_REMOVED)
-    if world.early_termination:
-        los_ids = {i for e in events if e.kind is EventKind.LOS for i in e.pair}
-        for ac in list(world.aircraft):
-            if ac.aircraft_id in los_ids and ac.cas == 0.0:
-                remove(ac, AircraftStatus.EARLY_TERMINATED)
+    los_ids = {i for e in events if e.kind is EventKind.LOS for i in e.pair}
+    removals = {}
+    for ac in active:
+        aid = ac.aircraft_id
+        if aid in arrived:
+            removals[aid] = AircraftStatus.ARRIVED
+        elif world.clock > ac.eta_deadline:
+            removals[aid] = AircraftStatus.TIMED_OUT
+        elif aid in nmac_ids:
+            removals[aid] = AircraftStatus.NMAC_REMOVED
+        elif world.early_termination and aid in los_ids and ac.cas == 0.0:
+            removals[aid] = AircraftStatus.EARLY_TERMINATED
+    world.aircraft[:] = [ac for ac in active if ac.aircraft_id not in removals]
 
     _insert_due_spawns(world)
-    return StepResult(events=tuple(events), removals=tuple(removals), post_move=post_move)
+    return StepResult(events=tuple(events), removals=removals, post_move=post_move)
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,14 @@ def _reject_unknown(mapping, allowed, where):
 
 
 def _from_fields(cls, mapping, where):
-    """``cls`` from a section keyed by its field names (missing keys take defaults)."""
+    """``cls`` from a section keyed by its field names (missing keys take defaults);
+    a value of the wrong type raises ValueError naming the section."""
     mapping = mapping or {}
     _reject_unknown(mapping, [f.name for f in fields(cls)], where)
-    return cls(**mapping)
+    try:
+        return cls(**mapping)
+    except TypeError as exc:
+        raise ValueError(f"bad value in {where}: {exc}") from exc
 
 
 def sector_from_config(mapping):

@@ -5,7 +5,7 @@ suite, and the command-line entry point (train / eval / gradcheck / rollout-dump
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -286,13 +286,6 @@ def _op_gradient_checks(seed, n_seeds):
         qb, kb, vb = t((2, 1, 4), 0.7), t((2, 3, 4), 0.7), t((2, 3, 4), 0.7)
         mask = np.arange(3) < np.array([3, 1])[:, None]
         record("mha_core_masked", lambda: nm.mha_core(qb, kb, vb, 2, mask), [qb, kb, vb])
-        tokens = t((3, 8), 0.7)
-        attn = nm.AttentionParams.create(rng, 8)
-        record(
-            "self_attention",
-            lambda: nm.attention(tokens, tokens, attn, 2),
-            [tokens] + list(attn.tensors().values()),
-        )
     return worst
 
 
@@ -407,18 +400,24 @@ def _build_parser():
 def _cmd_train(args):
     cfg = config_mod.load_training_config(args.config)
     if args.seed is not None:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     result = ppo.train(cfg, args.out, log=print)
     print(f"stats: {result.stats_path}")
     print(f"final checkpoint: {result.checkpoint_paths[-1]}")
     return 0
 
 
+def _load_for_episodes(path):
+    """A checkpoint's parameters and the sector it was trained in (defaults when it names none)."""
+    params, meta = policy_mod.load_policy(path)
+    try:
+        return params, SectorParams(**meta.get("sector_si", {}))
+    except TypeError as exc:
+        raise ValueError(f"checkpoint sector_si does not fit the sector: {exc}") from exc
+
+
 def _cmd_eval(args):
-    params, meta = policy_mod.load_policy(args.checkpoint)
-    sector = SectorParams(**meta.get("sector_si", {}))
+    params, sector = _load_for_episodes(args.checkpoint)
     result = evaluate(params, args.case, args.episodes, args.seed, sector=sector)
     episodes_path, aggregate_path = emit_report(result.episodes, args.out)
     agg = result.aggregate
@@ -441,8 +440,7 @@ def _cmd_gradcheck(args):
 
 def _cmd_rollout_dump(args):
     if args.checkpoint:
-        params, meta = policy_mod.load_policy(args.checkpoint)
-        sector = SectorParams(**meta.get("sector_si", {}))
+        params, sector = _load_for_episodes(args.checkpoint)
     else:
         params = init_params(PolicyConfig(), np.random.default_rng(args.seed))
         sector = SectorParams()

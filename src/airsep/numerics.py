@@ -437,49 +437,6 @@ def mha_core(q, k, v, heads, key_mask=None):
     return _op(out, [q, k, v], bwd, "mha_core")
 
 
-class AttentionParams:
-    """Learnable projections of one self-attention sublayer (q, k, v, output)."""
-
-    __slots__ = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-
-    def __init__(self, wq, bq, wk, bk, wv, bv, wo, bo):
-        self.wq, self.bq = wq, bq
-        self.wk, self.bk = wk, bk
-        self.wv, self.bv = wv, bv
-        self.wo, self.bo = wo, bo
-
-    @classmethod
-    def create(cls, rng, dim):
-        parts = []
-        for _ in range(4):
-            w, b = init_affine(rng, dim, dim)
-            parts.extend([w, b])
-        return cls(*parts)
-
-    def tensors(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
-def attention(queries, tokens, params, heads, key_mask=None):
-    """Multi-head attention of ``queries`` over ``tokens``, with output projection.
-
-    Both are (rows, d) or batched (B, rows, d); ``key_mask`` marks the real
-    tokens as in :func:`mha_core`. Self-attention passes the same tensor
-    twice. Queries that are a subset of the tokens (a classifier row, say)
-    give those rows of the self-attention output.
-    """
-    if tokens.data.ndim not in (2, 3):
-        raise ShapeError("attention expects (n, d) or (B, n, d) tokens")
-    d = tokens.data.shape[-1]
-    if d % heads != 0:
-        raise ConfigError(f"token width {d} not divisible by {heads} heads")
-    q = add(matmul(queries, params.wq), params.bq)
-    k = add(matmul(tokens, params.wk), params.bk)
-    v = add(matmul(tokens, params.wv), params.bv)
-    mixed = mha_core(q, k, v, heads, key_mask)
-    return add(matmul(mixed, params.wo), params.bo)
-
-
 # ---------------------------------------------------------------------------
 # reverse-mode differentiation
 # ---------------------------------------------------------------------------

@@ -17,16 +17,20 @@ multi-head attention with the classifier token as its one seed (Set
 Transformer, Lee et al. 2019): only that row queries, so its attention
 output, second layer norm and FFN are computed for that row alone.
 :func:`forward_tensors` is the batch of one, without padding.
+
+Each :class:`EncoderLayerParams` owns its attention's projections (``attn_*``)
+around :func:`numerics.mha_core`; field order fixes the checkpoint names.
 """
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import numerics as nm
 from .airspace import INTRUDER_FEATURES, Advisory
-from .numerics import AttentionParams, ConfigError, Tensor
+from .numerics import ConfigError, Tensor
 
 OWNSHIP_DIM = 2
 INTRUDER_DIM = len(INTRUDER_FEATURES)
@@ -45,10 +49,10 @@ class PolicyConfig:
     layers: int = 1
 
     def __post_init__(self):
+        if min(map(operator.index, (self.d_emb, self.d_ff, self.heads, self.layers))) < 1:
+            raise ConfigError("all network dimensions must be >= 1")
         if self.d_emb % self.heads != 0:
             raise ConfigError(f"d_emb {self.d_emb} not divisible by heads {self.heads}")
-        if min(self.d_emb, self.d_ff, self.heads, self.layers) < 1:
-            raise ConfigError("all network dimensions must be >= 1")
 
     @property
     def head_dim(self):
@@ -99,9 +103,19 @@ class ValueNormalizer:
 
 @dataclass
 class EncoderLayerParams:
+    """One pre-norm layer: attention with its q, k, v, o projections, then the FFN.
+    Field order is checkpoint order; ``init_params`` draws in the same order."""
+
     ln1_gain: Tensor
     ln1_bias: Tensor
-    attention: AttentionParams
+    attn_wq: Tensor
+    attn_bq: Tensor
+    attn_wk: Tensor
+    attn_bk: Tensor
+    attn_wv: Tensor
+    attn_bv: Tensor
+    attn_wo: Tensor
+    attn_bo: Tensor
     ln2_gain: Tensor
     ln2_bias: Tensor
     ffn_w1: Tensor
@@ -132,8 +146,8 @@ class PolicyParams:
     value_norm: ValueNormalizer = field(default_factory=ValueNormalizer)
 
     def named_parameters(self):
-        """Flat name -> Tensor map in field order; encoder layer ``i`` is prefixed ``enc{i}_``
-        and its attention tensors ``enc{i}_attn_``. The names are the checkpoint format."""
+        """Flat name -> Tensor map in field order; the fields of encoder layer ``i``
+        are prefixed ``enc{i}_``. The names are the checkpoint format."""
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -142,12 +156,7 @@ class PolicyParams:
             elif f.name == "layers":
                 for i, layer in enumerate(value):
                     for lf in fields(layer):
-                        tensor = getattr(layer, lf.name)
-                        if isinstance(tensor, AttentionParams):
-                            for name, t in tensor.tensors().items():
-                                out[f"enc{i}_attn_{name}"] = t
-                        else:
-                            out[f"enc{i}_{lf.name}"] = tensor
+                        out[f"enc{i}_{lf.name}"] = getattr(layer, lf.name)
         return out
 
     def tensors(self):
@@ -173,17 +182,10 @@ def init_params(config, rng):
     intr_ln_gain, intr_ln_bias = _ln_pair(d)
     layers = []
     for _ in range(config.layers):
-        ln1_gain, ln1_bias = _ln_pair(d)
-        attention = AttentionParams.create(rng, d)
-        ln2_gain, ln2_bias = _ln_pair(d)
-        ffn_w1, ffn_b1 = nm.init_affine(rng, d, dff)
-        ffn_w2, ffn_b2 = nm.init_affine(rng, dff, d)
-        layers.append(
-            EncoderLayerParams(
-                ln1_gain, ln1_bias, attention, ln2_gain, ln2_bias,
-                ffn_w1, ffn_b1, ffn_w2, ffn_b2,
-            )
-        )
+        # query, key, value and output projections, each (weight, bias)
+        attention = [t for _ in range(4) for t in nm.init_affine(rng, d, d)]
+        ffn = [*nm.init_affine(rng, d, dff), *nm.init_affine(rng, dff, d)]
+        layers.append(EncoderLayerParams(*_ln_pair(d), *attention, *_ln_pair(d), *ffn))
     pi_w, pi_b = nm.init_affine(rng, d, N_ACTIONS)
     v_w, v_b = nm.init_affine(rng, d, 1)
     return PolicyParams(
@@ -250,7 +252,11 @@ def _encoder(tokens, key_mask, params):
         if i == last:
             x = nm.narrow(x, 1, 0, 1)
             queries = nm.narrow(normed, 1, 0, 1)
-        x = nm.add(x, nm.attention(queries, normed, layer.attention, heads, key_mask))
+        q = nm.add(nm.matmul(queries, layer.attn_wq), layer.attn_bq)
+        k = nm.add(nm.matmul(normed, layer.attn_wk), layer.attn_bk)
+        v = nm.add(nm.matmul(normed, layer.attn_wv), layer.attn_bv)
+        mixed = nm.mha_core(q, k, v, heads, key_mask)
+        x = nm.add(x, nm.add(nm.matmul(mixed, layer.attn_wo), layer.attn_bo))
         normed = nm.layer_norm(x, layer.ln2_gain, layer.ln2_bias, eps=LAYER_NORM_EPS)
         hidden = nm.gelu(nm.add(nm.matmul(normed, layer.ffn_w1), layer.ffn_b1))
         x = nm.add(x, nm.add(nm.matmul(hidden, layer.ffn_w2), layer.ffn_b2))
@@ -345,10 +351,15 @@ def save_policy(path, params, meta=None):
 def load_policy(path):
     """Rebuild (params, meta) from a checkpoint; forward passes are bit-identical.
 
-    A checkpoint without value-normalization statistics gets fresh (identity) ones.
+    A checkpoint without value-normalization statistics gets fresh (identity)
+    ones; network or statistics metadata that does not fit raises ValueError.
     """
     arrays, meta = nm.load_checkpoint(path)
-    config = PolicyConfig(**meta["network"])
+    try:
+        config = PolicyConfig(**meta["network"])
+        value_norm = ValueNormalizer(**meta.get("value_normalization", {}))
+    except TypeError as exc:
+        raise ValueError(f"bad checkpoint metadata: {exc}") from exc
     params = init_params(config, np.random.default_rng(0))
     named = params.named_parameters()
     missing = set(named) - set(arrays)
@@ -360,5 +371,5 @@ def load_policy(path):
         if stored.shape != tensor.data.shape:
             raise ValueError(f"checkpoint shape mismatch for {name}: {stored.shape}")
         tensor.data = stored.astype(np.float64, copy=True)
-    params.value_norm = ValueNormalizer(**meta.get("value_normalization", {}))
+    params.value_norm = value_norm
     return params, meta

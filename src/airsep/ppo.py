@@ -19,6 +19,7 @@ values and the truncation bootstrap) are de-normalized to reward units.
 
 import csv
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -64,7 +65,8 @@ class HyperParams:
             raise ValueError("gamma and gae_lambda must lie in [0, 1]")
         if self.clip_eps <= 0.0:
             raise ValueError("clip_eps must be positive")
-        if min(self.updates, self.n_envs, self.horizon, self.batch_size, self.epochs) < 1:
+        counts = (self.updates, self.n_envs, self.horizon, self.batch_size, self.epochs)
+        if min(map(operator.index, counts)) < 1:
             raise ValueError("counts must be >= 1")
 
 
@@ -150,8 +152,7 @@ class SectorEnv:
             )
             for aid in actions
         }
-        removed = {r.aircraft.aircraft_id for r in result.removals}
-        dones = {aid: 1.0 if aid in removed else 0.0 for aid in actions}
+        dones = {aid: 1.0 if aid in result.removals else 0.0 for aid in actions}
         return EnvStep(rewards=rewards, dones=dones)
 
 

@@ -408,14 +408,13 @@ def test_arrival_by_capture_radius():
     route = Route([[0.0, 0.0], [route_len, 0.0]])
     spawns = [PendingSpawn(time=0.0, aircraft_id="A", route_index=0, v_des=50.0)]
     world = make_custom_world([route], spawns, sector=sector)
-    removals = []
+    removals = {}
     for _ in range(30):
         res = step(world, {aid: Advisory.HOLD for aid in world.active_ids()})
-        removals.extend(res.removals)
+        removals.update(res.removals)
         if world.is_done():
             break
-    assert len(removals) == 1
-    assert removals[0].cause is AircraftStatus.ARRIVED
+    assert removals == {"A": AircraftStatus.ARRIVED}
     # capture fires within 100 m of the endpoint: 18 steps at 50 m/s puts it at 900 m
     assert world.clock == 18.0
 
@@ -445,11 +444,15 @@ def test_removal_accounting_and_statuses():
             if world.is_done():
                 break
             acts = {aid: Advisory(int(rng.integers(3))) for aid in world.active_ids()}
-            removals.extend(step(world, acts).removals)
+            result = step(world, acts)
+            # keys are the removed aircraft, in list order, and none is left aloft
+            assert list(result.removals) == [aid for aid in acts if aid in result.removals]
+            assert not set(result.removals) & set(world.active_ids())
+            removals.extend(result.removals.items())
         assert world.is_done()
         assert len(removals) == world.n_spawned
-        assert all(r.cause is not AircraftStatus.ACTIVE for r in removals)
-        ids = [r.aircraft.aircraft_id for r in removals]
+        assert all(isinstance(cause, AircraftStatus) for _, cause in removals)
+        ids = [aid for aid, _ in removals]
         assert len(set(ids)) == len(ids)
 
 
@@ -508,10 +511,37 @@ def test_nmac_removes_both_aircraft():
         if world.is_done():
             break
         res = step(world, {aid: Advisory.HOLD for aid in world.active_ids()})
-        causes.extend(r.cause for r in res.removals)
+        causes.extend(res.removals.values())
         events.extend(res.events)
     assert causes == [AircraftStatus.NMAC_REMOVED, AircraftStatus.NMAC_REMOVED]
     assert sum(1 for e in events if e.kind is EventKind.NMAC) == 1
+
+
+def test_arrival_takes_precedence_over_nmac_and_removals_keep_list_order():
+    # A is 50 m from its route's end and B is 71 m from A after the move, so
+    # both are in an NMAC pair and A also arrives: A is reported as arrived
+    def aircraft(aid, start, end, offset):
+        return AircraftState(
+            aircraft_id=aid, route=Route([start, end]), leg=0, leg_offset=offset,
+            cas=10.0, v_des=10.0, spawn_time=0.0, eta_deadline=1e9,
+        )
+
+    world = WorldState(
+        sector=SectorParams(),
+        routes=[],
+        rng=np.random.default_rng(0),
+        aircraft=[
+            aircraft("B", [1000.0, 50.0], [1000.0 + 200 * NM, 50.0], 0.0),
+            aircraft("A", [0.0, 0.0], [1000.0, 0.0], 950.0),
+        ],
+    )
+    res = step(world, {"A": Advisory.HOLD, "B": Advisory.HOLD})
+    assert [(e.kind, e.pair) for e in res.events] == [(EventKind.NMAC, ("A", "B"))]
+    assert list(res.removals.items()) == [
+        ("B", AircraftStatus.NMAC_REMOVED),
+        ("A", AircraftStatus.ARRIVED),
+    ]
+    assert world.aircraft == []
 
 
 def _stopped_pair_world(early_termination):
@@ -525,9 +555,8 @@ def test_early_termination_only_when_enabled():
     world = _stopped_pair_world(early_termination=True)
     res = step(world, {aid: Advisory.DECREASE for aid in world.active_ids()})
     # one decrease stops both inside LoS: both are terminated early
-    causes = [r.cause for r in res.removals]
-    assert causes == [AircraftStatus.EARLY_TERMINATED, AircraftStatus.EARLY_TERMINATED]
-    assert all(r.aircraft.cas == 0.0 for r in res.removals)
+    assert res.removals == {"A": AircraftStatus.EARLY_TERMINATED, "B": AircraftStatus.EARLY_TERMINATED}
+    assert all(res.post_move[aid].cas == 0.0 for aid in res.removals)
 
     world2 = _stopped_pair_world(early_termination=False)
     for _ in range(5):

@@ -54,11 +54,11 @@ def _mha_core_reference(q, k, v, heads):
     return nm._op(out, [q, k, v], bwd, "mha_core_reference")
 
 
-def _self_attention_reference(tokens, p, heads):
-    q = nm.add(nm.matmul(tokens, p.wq), p.bq)
-    k = nm.add(nm.matmul(tokens, p.wk), p.bk)
-    v = nm.add(nm.matmul(tokens, p.wv), p.bv)
-    return nm.add(nm.matmul(_mha_core_reference(q, k, v, heads), p.wo), p.bo)
+def _self_attention_reference(tokens, layer, heads):
+    q = nm.add(nm.matmul(tokens, layer.attn_wq), layer.attn_bq)
+    k = nm.add(nm.matmul(tokens, layer.attn_wk), layer.attn_bk)
+    v = nm.add(nm.matmul(tokens, layer.attn_wv), layer.attn_bv)
+    return nm.add(nm.matmul(_mha_core_reference(q, k, v, heads), layer.attn_wo), layer.attn_bo)
 
 
 def _forward_reference(obs, params):
@@ -75,7 +75,7 @@ def _forward_reference(obs, params):
     x = tokens
     for layer in params.layers:
         normed = nm.layer_norm(x, layer.ln1_gain, layer.ln1_bias, eps=LAYER_NORM_EPS)
-        x = nm.add(x, _self_attention_reference(normed, layer.attention, params.config.heads))
+        x = nm.add(x, _self_attention_reference(normed, layer, params.config.heads))
         normed = nm.layer_norm(x, layer.ln2_gain, layer.ln2_bias, eps=LAYER_NORM_EPS)
         hidden = nm.gelu(nm.add(nm.matmul(normed, layer.ffn_w1), layer.ffn_b1))
         x = nm.add(x, nm.add(nm.matmul(hidden, layer.ffn_w2), layer.ffn_b2))

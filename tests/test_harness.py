@@ -21,6 +21,7 @@ from airsep.harness import (
     run_episode,
     smooth_curve,
 )
+from airsep.numerics import save_checkpoint
 from airsep.policy import PolicyConfig, init_params, save_policy
 
 # round-number SI sector so every scripted quantity below is exact in floats
@@ -288,6 +289,52 @@ def test_cli_library_error_exits_1_with_message(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "not divisible by heads" in err
+
+
+def _assert_clean_error(code, capsys, fragment):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "section, fragment",
+    [
+        ("ppo: {horizon: abc}", "bad value in ppo"),
+        ('network: {d_emb: "x"}', "bad value in network"),
+        ("ppo: {horizon: 2.5}", "bad value in ppo"),
+    ],
+    ids=["horizon_not_a_number", "d_emb_not_a_number", "horizon_not_an_integer"],
+)
+def test_cli_train_rejects_values_of_the_wrong_type(tmp_path, capsys, section, fragment):
+    config = tmp_path / "bad.yaml"
+    config.write_text("scenario: {env: headon}\n" + section + "\n")
+    code = cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    _assert_clean_error(code, capsys, fragment)
+    assert not (tmp_path / "run").exists()
+
+
+def _checkpoint_with_meta(tmp_path, section, extra):
+    params = init_params(PolicyConfig(d_emb=16, d_ff=32, heads=4, layers=1), np.random.default_rng(1))
+    meta = {"network": {"d_emb": 16, "d_ff": 32, "heads": 4, "layers": 1}, "sector_si": {}}
+    meta[section] = dict(meta[section], **extra)
+    return save_checkpoint(tmp_path / "odd", params.named_parameters(), meta)
+
+
+def test_cli_eval_rejects_unknown_network_metadata(tmp_path, capsys):
+    ckpt = _checkpoint_with_meta(tmp_path, "network", {"dropout": 0.1})
+    code = cli(["eval", "--checkpoint", str(ckpt), "--case", "headon", "--episodes", "1",
+                "--out", str(tmp_path / "report")])
+    _assert_clean_error(code, capsys, "dropout")
+
+
+def test_cli_rollout_dump_rejects_unknown_sector_metadata(tmp_path, capsys):
+    ckpt = _checkpoint_with_meta(tmp_path, "sector_si", {"wind": 3.0})
+    code = cli(["rollout-dump", "--checkpoint", str(ckpt), "--case", "headon",
+                "--out", str(tmp_path / "dump")])
+    _assert_clean_error(code, capsys, "wind")
 
 
 def test_cli_gradcheck_quick(capsys):

@@ -8,7 +8,6 @@ import pytest
 from airsep import numerics as nm
 from airsep.harness import _op_gradient_checks
 from airsep.numerics import (
-    AttentionParams,
     GraphError,
     NonFiniteError,
     ShapeError,
@@ -162,40 +161,35 @@ def test_softmax_simplex_invariant():
 
 
 # ---------------------------------------------------------------------------
-# self-attention
+# multi-head attention
 # ---------------------------------------------------------------------------
 
 
-def test_attention_single_token_reduces_to_value_projection():
-    rng = np.random.default_rng(2)
-    params = AttentionParams.create(rng, 8)
-    token = _rand((1, 8), 9, grad=False)
-    out = nm.attention(token, token, params, 2).data
-    v = token.data @ params.wv.data + params.bv.data
-    expected = v @ params.wo.data + params.bo.data
-    assert np.max(np.abs(out - expected)) < 1e-12
+def test_attention_single_key_returns_its_value_row():
+    # softmax over one key is exactly 1, so every query gets that key's value row bit for bit
+    q = _rand((3, 8), 9, grad=False)
+    k = _rand((1, 8), 10, grad=False)
+    v = _rand((1, 8), 11, grad=False)
+    out = nm.mha_core(q, k, v, 2).data
+    assert np.array_equal(out, np.repeat(v.data, 3, axis=0))
 
 
 def test_attention_head_divisibility():
-    rng = np.random.default_rng(2)
     assert 128 % 16 == 0 and 128 // 16 == 8
-    params = AttentionParams.create(rng, 128)
     tokens = _rand((4, 128), 1, grad=False)
-    out = nm.attention(tokens, tokens, params, 16)
+    out = nm.mha_core(tokens, tokens, tokens, 16)
     assert out.data.shape == (4, 128)
     with pytest.raises(nm.ConfigError):
-        nm.attention(tokens, tokens, params, 15)
+        nm.mha_core(tokens, tokens, tokens, 15)
 
 
 def test_attention_permutation_equivariance():
-    rng = np.random.default_rng(4)
-    params = AttentionParams.create(rng, 16)
     tokens = _rand((6, 16), 3, grad=False)
-    base = nm.attention(tokens, tokens, params, 4).data
+    base = nm.mha_core(tokens, tokens, tokens, 4).data
     for seed in range(20):
         perm = np.random.default_rng(seed).permutation(6)
         shuffled = Tensor(tokens.data[perm])
-        permuted = nm.attention(shuffled, shuffled, params, 4).data
+        permuted = nm.mha_core(shuffled, shuffled, shuffled, 4).data
         assert np.max(np.abs(permuted - base[perm])) < 1e-10
 
 

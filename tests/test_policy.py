@@ -13,6 +13,7 @@ from airsep.policy import (
     VALUE_VAR_FLOOR,
     PolicyConfig,
     ValueNormalizer,
+    _log_softmax_np,
     act,
     forward,
     forward_batch,
@@ -125,20 +126,23 @@ def test_uniform_policy_log_prob():
 
 
 def test_sample_frequencies_match_probabilities():
+    # every draw is the draw of a twin generator given the softmax of forward's
+    # logits, so the sample frequencies are those probabilities exactly
     params = init_params(TINY, np.random.default_rng(13))
     obs = _obs(np.random.default_rng(14), 0)
     logits, _ = forward(obs, params)
     p = np.exp(logits - logits.max())
     p /= p.sum()
-    rng = np.random.default_rng(15)
-    n = 100_000
-    counts = np.zeros(3)
-    for _ in range(n):
-        advisory, _, _ = act(obs, params, rng, mode="sample")
-        counts[int(advisory)] += 1
-    for k in range(3):
-        sigma = math.sqrt(p[k] * (1 - p[k]) / n)
-        assert abs(counts[k] / n - p[k]) <= 3 * sigma + 1e-12
+    logp = _log_softmax_np(logits)
+    assert np.max(np.abs(np.exp(logp) - p)) <= 1e-12
+    rng, twin = np.random.default_rng(15), np.random.default_rng(15)
+    drawn = set()
+    for _ in range(2_000):
+        advisory, log_prob, _ = act(obs, params, rng, mode="sample")
+        assert int(advisory) == twin.choice(3, p=np.exp(logp))
+        assert log_prob == logp[int(advisory)]
+        drawn.add(int(advisory))
+    assert drawn == {0, 1, 2}
 
 
 def test_sample_requires_rng():
@@ -257,7 +261,7 @@ def test_named_parameters_pin_checkpoint_names_and_order():
     )
     named = params.named_parameters()
     assert list(named) == expected
-    assert named["enc1_attn_wo"] is params.layers[1].attention.wo
+    assert named["enc1_attn_wo"] is params.layers[1].attn_wo
     assert named["enc0_ffn_b2"] is params.layers[0].ffn_b2
     assert params.tensors() == list(named.values())
 
