@@ -286,6 +286,8 @@ def _op_gradient_checks(seed, n_seeds):
         qb, kb, vb = t((2, 1, 4), 0.7), t((2, 3, 4), 0.7), t((2, 3, 4), 0.7)
         mask = np.arange(3) < np.array([3, 1])[:, None]
         record("mha_core_masked", lambda: nm.mha_core(qb, kb, vb, 2, mask), [qb, kb, vb])
+        ax, aw, abias = t((2, 2, 3)), t((3, 2)), t((2,))
+        record("affine_batched", lambda: nm.affine(ax, aw, abias), [ax, aw, abias])
     return worst
 
 

@@ -2,10 +2,11 @@
 
 A small pure-numpy core sized for set-transformer policy networks: 1-D/2-D
 arrays and batches of them, primitive ops recorded onto an implicit tape
-during the forward pass, and the network building blocks (exact-erf GELU,
-layer norm, stable log-softmax, multi-head attention with a key-padding
-mask). Everything is 64-bit; a NaN or Inf
-anywhere is treated as a bug and raises immediately.
+during the forward pass, and the network building blocks (a fused affine
+projection, exact-erf GELU, layer norm, stable log-softmax, multi-head
+attention with a key-padding mask). Everything is 64-bit; an exact NaN/Inf
+screen on every leaf and op output (one dot product, no ``np.errstate``)
+raises at the op that made the value.
 
 The tape is acyclic (output -> node -> inputs, never back), so reference
 counting frees a dead graph. Gradients are read-only: leaves may share one
@@ -64,19 +65,23 @@ class Node:
         return f"Node({self.name})"
 
 
+def _finite(data):
+    """``data`` as a float64 array, exactly screened for NaN/Inf with no numpy error state:
+    a NaN or Inf makes the sum of squares (one BLAS dot) non-finite, and finite
+    values whose squares overflow fall through to the elementwise check."""
+    arr = np.asarray(data, dtype=np.float64)
+    if not math.isfinite(np.vdot(arr, arr)) and not np.all(np.isfinite(arr)):
+        raise NonFiniteError("tensor holds non-finite values")
+    return arr
+
+
 class Tensor:
     """A float64 array plus optional gradient buffer and producing node."""
 
     __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.asarray(data, dtype=np.float64)
-        # single-pass finiteness screen: any NaN/Inf poisons the sum; the exact
-        # elementwise check only runs when the cheap screen trips
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not math.isfinite(float(arr.sum())) and not np.all(np.isfinite(arr)):
-                raise NonFiniteError("tensor holds non-finite values")
-        self.data = arr
+        self.data = _finite(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.node = None
@@ -131,10 +136,11 @@ class no_grad:
 
 def _op(data, inputs, backward_fn, name):
     """Create the output tensor of a primitive and record its node."""
-    out = Tensor(data)
-    if _grad_enabled and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        out.node = Node(tuple(inputs), backward_fn, name)
+    out = Tensor.__new__(Tensor)
+    out.data = _finite(data)
+    out.grad = None
+    out.requires_grad = _grad_enabled and any(t.requires_grad for t in inputs)
+    out.node = Node(tuple(inputs), backward_fn, name) if out.requires_grad else None
     return out
 
 
@@ -199,7 +205,12 @@ def matmul(a, b):
     shape (..., k), multiplies a 2-D weight (k, m) row by row; the weight's
     gradient sums over every leading axis in one product.
     """
-    ad, bd = a.data, b.data
+    out, bwd = _matmul_arrays(a.data, b.data)
+    return _op(out, [a, b], bwd, "matmul")
+
+
+def _matmul_arrays(ad, bd):
+    """The product of :func:`matmul` on arrays, and its backward rule."""
     if ad.ndim == 0 or bd.ndim == 0:
         raise ShapeError("matmul requires 1-D or 2-D operands")
     if bd.ndim > 2 or (ad.ndim > 2 and bd.ndim != 2):
@@ -216,7 +227,19 @@ def matmul(a, b):
         gb = (a2.T @ g2).reshape(bd.shape)
         return ga, gb
 
-    return _op(out, [a, b], bwd, "matmul")
+    return out, bwd
+
+
+def affine(a, w, b):
+    """``add(matmul(a, w), b)`` recorded as one node, with the same two numpy
+    operations, so its value and gradients equal the pair's bit for bit."""
+    prod, matmul_bwd = _matmul_arrays(a.data, w.data)
+    shape = prod.shape  # the closure keeps the shape, not the pre-bias product
+
+    def bwd(g):
+        return (*matmul_bwd(_unbroadcast(g, shape)), _unbroadcast(g, b.data.shape))
+
+    return _op(prod + b.data, [a, w, b], bwd, "affine")
 
 
 def reshape(a, shape):
@@ -229,10 +252,9 @@ def concat(tensors, axis=0):
     if not tensors:
         raise ShapeError("concat of zero tensors")
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    bounds = np.cumsum(sizes)[:-1]
 
     def bwd(g):
+        bounds = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
         return tuple(np.split(g, bounds, axis=axis))
 
     return _op(out, tensors, bwd, "concat")
@@ -321,9 +343,8 @@ def maximum(a, b):
 
 def clip(a, lo, hi):
     """Clamp to [lo, hi]; gradient passes wherever the input is inside (inclusive)."""
-    inside = (a.data >= lo) & (a.data <= hi)
-
     def bwd(g):
+        inside = (a.data >= lo) & (a.data <= hi)
         return (np.where(inside, g, 0.0),)
 
     return _op(np.clip(a.data, lo, hi), [a], bwd, "clip")
@@ -352,10 +373,11 @@ def layer_norm(a, gain, bias, eps=1e-5):
     x = a.data
     if x.ndim == 0:
         raise ShapeError("layer_norm expects at least a 1-D tensor")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    # the same centring, squares, sum and division as ``np.var``, done once
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / x.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat = xc * inv
     out = xhat * gain.data + bias.data
 
     def bwd(g):

@@ -223,7 +223,7 @@ def make_cls_token(ownship, params):
     own = Tensor(ownship)
     base = nm.add(Tensor(np.zeros(own.shape[:-1] + params.cls_base.shape)), params.cls_base)
     fused = nm.concat([base, own], axis=-1)
-    pre = nm.add(nm.matmul(fused, params.own_w), params.own_b)
+    pre = nm.affine(fused, params.own_w, params.own_b)
     return nm.layer_norm(nm.gelu(pre), params.own_ln_gain, params.own_ln_bias, eps=LAYER_NORM_EPS)
 
 
@@ -233,7 +233,7 @@ def make_intruder_tokens(intruders, params):
     x = Tensor(intruders)
     if x.shape[-2] == 0:
         return None
-    pre = nm.add(nm.matmul(x, params.intr_w), params.intr_b)
+    pre = nm.affine(x, params.intr_w, params.intr_b)
     return nm.layer_norm(pre, params.intr_ln_gain, params.intr_ln_bias, eps=LAYER_NORM_EPS)
 
 
@@ -252,14 +252,14 @@ def _encoder(tokens, key_mask, params):
         if i == last:
             x = nm.narrow(x, 1, 0, 1)
             queries = nm.narrow(normed, 1, 0, 1)
-        q = nm.add(nm.matmul(queries, layer.attn_wq), layer.attn_bq)
-        k = nm.add(nm.matmul(normed, layer.attn_wk), layer.attn_bk)
-        v = nm.add(nm.matmul(normed, layer.attn_wv), layer.attn_bv)
+        q = nm.affine(queries, layer.attn_wq, layer.attn_bq)
+        k = nm.affine(normed, layer.attn_wk, layer.attn_bk)
+        v = nm.affine(normed, layer.attn_wv, layer.attn_bv)
         mixed = nm.mha_core(q, k, v, heads, key_mask)
-        x = nm.add(x, nm.add(nm.matmul(mixed, layer.attn_wo), layer.attn_bo))
+        x = nm.add(x, nm.affine(mixed, layer.attn_wo, layer.attn_bo))
         normed = nm.layer_norm(x, layer.ln2_gain, layer.ln2_bias, eps=LAYER_NORM_EPS)
-        hidden = nm.gelu(nm.add(nm.matmul(normed, layer.ffn_w1), layer.ffn_b1))
-        x = nm.add(x, nm.add(nm.matmul(hidden, layer.ffn_w2), layer.ffn_b2))
+        hidden = nm.gelu(nm.affine(normed, layer.ffn_w1, layer.ffn_b1))
+        x = nm.add(x, nm.affine(hidden, layer.ffn_w2, layer.ffn_b2))
     return x
 
 
@@ -291,8 +291,8 @@ def forward_batch(ownship, intruders, counts, params):
     if np.any(counts != t):
         key_mask = np.concatenate([np.ones((b, 1), dtype=bool), np.arange(t) < counts[:, None]], axis=1)
     pooled = nm.reshape(_encoder(tokens, key_mask, params), (b, params.config.d_emb))
-    logits = nm.add(nm.matmul(pooled, params.pi_w), params.pi_b)
-    value = nm.reshape(nm.add(nm.matmul(pooled, params.v_w), params.v_b), (b,))
+    logits = nm.affine(pooled, params.pi_w, params.pi_b)
+    value = nm.reshape(nm.affine(pooled, params.v_w, params.v_b), (b,))
     return logits, value
 
 

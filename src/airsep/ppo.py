@@ -19,6 +19,7 @@ values and the truncation bootstrap) are de-normalized to reward units.
 
 import csv
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -68,6 +69,11 @@ class HyperParams:
         counts = (self.updates, self.n_envs, self.horizon, self.batch_size, self.epochs)
         if min(map(operator.index, counts)) < 1:
             raise ValueError("counts must be >= 1")
+        reals = (self.learning_rate, self.entropy_coef, self.vf_coef, self.max_grad_norm)
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in reals):
+            raise TypeError("learning_rate, entropy_coef, vf_coef and max_grad_norm must be numbers")
+        if not all(isinstance(x, bool) for x in (self.advantage_normalization, self.value_clipping)):
+            raise TypeError("advantage_normalization and value_clipping must be true or false")
 
 
 @dataclass(frozen=True)

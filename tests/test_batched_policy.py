@@ -18,7 +18,10 @@ from hypothesis import strategies as st
 
 from airsep import numerics as nm
 from airsep.featurize import EgoObservation
-from airsep.policy import LAYER_NORM_EPS, PolicyConfig, forward_batch, init_params, pad_observations
+from airsep.policy import (
+    LAYER_NORM_EPS, PolicyConfig, ValueNormalizer, forward, forward_batch, forward_tensors,
+    init_params, pad_observations,
+)
 from airsep.ppo import HyperParams, ppo_loss
 
 TOL = 1e-12
@@ -183,6 +186,19 @@ def test_batched_matches_per_sample_reference(case):
     want = _gradients(params, lambda: _loss_reference(params, observations, mb))
     for name, g, w in zip(params.named_parameters(), got, want):
         assert np.max(np.abs(g - w)) <= TOL, name
+
+
+@SETTINGS
+@given(CASES)
+def test_recording_the_tape_changes_no_arithmetic(case):
+    params, observations, _ = _setup(case)
+    params.value_norm = ValueNormalizer(count=10, mean=-3.25, var=7.5)
+    for obs in observations:
+        logits, value = forward(obs, params)
+        recorded_logits, recorded_value = forward_tensors(obs, params)
+        assert recorded_logits.node is not None and recorded_value.node is not None
+        assert np.array_equal(logits, recorded_logits.data)
+        assert value == params.value_norm.denormalize(float(recorded_value.data))
 
 
 def test_graph_is_freed_without_the_cyclic_gc():

@@ -305,8 +305,11 @@ def _assert_clean_error(code, capsys, fragment):
         ("ppo: {horizon: abc}", "bad value in ppo"),
         ('network: {d_emb: "x"}', "bad value in network"),
         ("ppo: {horizon: 2.5}", "bad value in ppo"),
+        ("ppo: {learning_rate: 3e-4}", "bad value in ppo"),
+        ('ppo: {value_clipping: "false"}', "bad value in ppo"),
     ],
-    ids=["horizon_not_a_number", "d_emb_not_a_number", "horizon_not_an_integer"],
+    ids=["horizon_not_a_number", "d_emb_not_a_number", "horizon_not_an_integer",
+         "learning_rate_read_as_a_string", "value_clipping_a_string"],
 )
 def test_cli_train_rejects_values_of_the_wrong_type(tmp_path, capsys, section, fragment):
     config = tmp_path / "bad.yaml"

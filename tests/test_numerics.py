@@ -120,6 +120,17 @@ def test_layer_norm_standardizes_rows():
     assert np.max(np.abs(out.var(axis=1) - 1.0)) < 1e-4
 
 
+def test_layer_norm_equals_the_numpy_var_formula_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for shape in [(7,), (5, 16), (2, 3, 128)]:
+        x = rng.standard_normal(shape) * 4.0 + 2.0
+        gain, bias = Tensor(rng.standard_normal(shape[-1])), Tensor(rng.standard_normal(shape[-1]))
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        want = (x - mu) * inv * gain.data + bias.data
+        assert np.array_equal(nm.layer_norm(Tensor(x), gain, bias, eps=1e-5).data, want)
+
+
 def test_layer_norm_hand_example():
     gain, bias = _unit_ln(3)
     out = nm.layer_norm(Tensor([1.0, 2.0, 3.0]), gain, bias, eps=0.0).data
@@ -230,6 +241,24 @@ def test_batched_ops_match_their_rows():
         nm.pick(rows, [0, 1])
 
 
+@pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 4, 3)], ids=["1d", "2d", "3d"])
+def test_affine_equals_add_of_matmul_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape))
+    a, w, b = rng.standard_normal(shape), rng.standard_normal((3, 2)), rng.standard_normal(2)
+    probe = Tensor(rng.standard_normal(shape[:-1] + (2,)))
+
+    def run(build):
+        leaves = [Tensor(x, requires_grad=True) for x in (a, w, b)]
+        out = build(*leaves)
+        backward(nm.tsum(nm.mul(out, probe)))
+        return [out.data] + [t.grad for t in leaves]
+
+    fused = run(nm.affine)
+    pair = run(lambda x, y, z: nm.add(nm.matmul(x, y), z))
+    for got, want in zip(fused, pair):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # backward semantics
 # ---------------------------------------------------------------------------
@@ -297,6 +326,25 @@ def test_non_finite_rejected():
         Tensor([1.0, np.inf])
     with pytest.raises(NonFiniteError):
         nm.exp(Tensor(1000.0))  # overflow surfaces immediately
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_rejected_by_leaves_and_op_outputs(bad):
+    with pytest.raises(NonFiniteError):
+        Tensor([1.0, bad, 2.0])
+    with nm.no_grad(), pytest.raises(NonFiniteError):
+        nm.add(Tensor([1.0, 2.0, 3.0]), bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [[1e200, -1e200], [1.7e308]], ids=["opposite", "near_max"])
+def test_finite_values_whose_squares_overflow_pass_the_screen(values):
+    # the sum of squares overflows here, so only the exact elementwise check can accept them
+    assert np.array_equal(Tensor(values).data, values)
+    with nm.no_grad():
+        out = nm.add(Tensor(np.zeros(len(values))), Tensor(values))
+    assert np.array_equal(out.data, values)
 
 
 # ---------------------------------------------------------------------------
