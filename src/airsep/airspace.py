@@ -593,7 +593,7 @@ def generate_case(case, rng, sector=None, n_aircraft=None, rotation=None):
     raise ValueError(f"unknown evaluation case {case!r}")
 
 
-def head_on_routes(sector=None):
+def head_on_routes():
     """Fixed pair of routes crossing at the center, traversed toward each other."""
     u1 = np.array([1.0, 0.0])
     u2 = np.array([math.cos(HEAD_ON_ANGLE), math.sin(HEAD_ON_ANGLE)])
@@ -610,18 +610,18 @@ _FIXED_SPEED_KT = 110.0
 _SPACING_RANGE = (60.0, 1200.0)
 
 
-def build_spawn_schedule(rng, env_kind, routes, sector=None, n_aircraft=None):
+def build_spawn_schedule(rng, env_kind, routes, n_aircraft=None):
     """Time-ordered pending spawns for one episode.
 
-    Aircraft count defaults to U{1..20} (U{1..10} for case C, exactly 2 for the
-    head-on scenario). Desired speeds are U(60, 120) kt for training and case C
-    and fixed 110 kt for cases A/B. Consecutive spawns sharing a route origin
-    are spaced by independent U(60, 1200) s draws, anchored at time zero; case C
-    gives each aircraft its own dedicated route. The head-on scenario spawns
+    Aircraft count defaults to U{1..20}, and is 2 for the head-on scenario.
+    Case C spawns one aircraft on each route, so its count is the route count
+    (U{1..10} by default, drawn by :func:`make_world`). Desired speeds are
+    U(60, 120) kt for training and case C and fixed 110 kt for cases A/B.
+    Consecutive spawns sharing a route origin are spaced by independent
+    U(60, 1200) s draws, anchored at time zero. The head-on scenario spawns
     one aircraft per route at 110 kt, the second delayed by a small jitter.
     """
     env_kind = EnvKind(env_kind)
-    sector = sector or SectorParams()
 
     if env_kind is EnvKind.HEAD_ON:
         if len(routes) != 2:
@@ -674,14 +674,14 @@ def make_world(env_kind, rng, sector=None, n_aircraft=None):
     if env_kind is EnvKind.TRAINING:
         routes = generate_training_sector(rng, sector)
     elif env_kind is EnvKind.HEAD_ON:
-        routes = head_on_routes(sector)
+        routes = head_on_routes()
     elif env_kind is EnvKind.CASE_C:
         n_aircraft = int(rng.integers(1, 11)) if n_aircraft is None else int(n_aircraft)
         routes = generate_case(env_kind, rng, sector, n_aircraft=n_aircraft)
     else:
         routes = generate_case(env_kind, rng, sector)
 
-    spawn_queue = build_spawn_schedule(rng, env_kind, routes, sector, n_aircraft=n_aircraft)
+    spawn_queue = build_spawn_schedule(rng, env_kind, routes, n_aircraft=n_aircraft)
     world = WorldState(
         sector=sector,
         routes=routes,

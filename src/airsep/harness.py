@@ -5,7 +5,7 @@ suite, and the command-line entry point (train / eval / gradcheck / rollout-dump
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,15 +19,6 @@ from .policy import PolicyConfig, init_params
 ADHERENCE_TOLERANCE = 10.0 * KT
 GRADIENT_TOLERANCE = 1e-4
 
-EPISODES_HEADER = ("episode", "nmac_count", "los_seconds", "speed_adherence", "max_density")
-AGGREGATE_HEADER = (
-    "scope",
-    "episodes",
-    "mean_nmac_count",
-    "mean_los_seconds",
-    "mean_speed_adherence",
-    "mean_max_density",
-)
 TRAJECTORY_HEADER = ("time_s", "aircraft_id", "x_m", "y_m", "cas_ms", "v_des_ms", "heading_rad")
 
 
@@ -47,6 +38,11 @@ class EpisodeMetrics:
     los_seconds: float
     speed_adherence: float
     max_density: int
+
+
+METRIC_NAMES = tuple(f.name for f in fields(EpisodeMetrics))
+EPISODES_HEADER = ("episode", *METRIC_NAMES)
+AGGREGATE_HEADER = ("scope", "episodes", *(f"mean_{name}" for name in METRIC_NAMES))
 
 
 def run_episode(world, action_fn, max_steps=200_000, trajectory=None, events_out=None):
@@ -116,13 +112,17 @@ class EvaluationResult:
 
 
 def _aggregate(metrics):
-    return {
-        "episodes": len(metrics),
-        "mean_nmac_count": float(np.mean([m.nmac_count for m in metrics])),
-        "mean_los_seconds": float(np.mean([m.los_seconds for m in metrics])),
-        "mean_speed_adherence": float(np.mean([m.speed_adherence for m in metrics])),
-        "mean_max_density": float(np.mean([m.max_density for m in metrics])),
-    }
+    """Episode count, then the mean of every metric, keyed as in ``AGGREGATE_HEADER``."""
+    means = {f"mean_{name}": float(np.mean([getattr(m, name) for m in metrics])) for name in METRIC_NAMES}
+    return {"episodes": len(metrics), **means}
+
+
+def _per_density(metrics):
+    """``_aggregate`` of the episodes at each observed peak density, ascending."""
+    groups = {}
+    for m in sorted(metrics, key=lambda m: m.max_density):
+        groups.setdefault(m.max_density, []).append(m)
+    return {density: _aggregate(group) for density, group in groups.items()}
 
 
 def evaluate(params, env_kind, n_episodes, seed, sector=None, n_aircraft=None, action_mode="greedy"):
@@ -133,6 +133,8 @@ def evaluate(params, env_kind, n_episodes, seed, sector=None, n_aircraft=None, a
     ``sample`` (stochastic policy) or ``random`` (uniform advisories,
     ignoring ``params``).
     """
+    if n_episodes < 1:
+        raise ValueError(f"need at least one episode, got {n_episodes}")
     env_kind = EnvKind(env_kind)
     children = np.random.SeedSequence(seed).spawn(n_episodes)
     metrics = []
@@ -148,10 +150,7 @@ def evaluate(params, env_kind, n_episodes, seed, sector=None, n_aircraft=None, a
         else:
             raise ValueError(f"unknown action_mode {action_mode!r}")
         metrics.append(run_episode(world, fn))
-    per_density = {}
-    for density in sorted({m.max_density for m in metrics}):
-        per_density[density] = _aggregate([m for m in metrics if m.max_density == density])
-    return EvaluationResult(episodes=metrics, aggregate=_aggregate(metrics), per_density=per_density)
+    return EvaluationResult(metrics, _aggregate(metrics), _per_density(metrics))
 
 
 # ---------------------------------------------------------------------------
@@ -189,26 +188,13 @@ def emit_report(metrics, out_dir):
         writer = csv.writer(fh)
         writer.writerow(EPISODES_HEADER)
         for i, m in enumerate(metrics):
-            writer.writerow([i, m.nmac_count, repr(m.los_seconds), repr(m.speed_adherence), m.max_density])
-
-    def agg_row(scope, sub):
-        agg = _aggregate(sub)
-        return [
-            scope,
-            agg["episodes"],
-            repr(agg["mean_nmac_count"]),
-            repr(agg["mean_los_seconds"]),
-            repr(agg["mean_speed_adherence"]),
-            repr(agg["mean_max_density"]),
-        ]
-
+            writer.writerow([i, *astuple(m)])
     with open(aggregate_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(AGGREGATE_HEADER)
-        writer.writerow(agg_row("overall", metrics))
-        for density in sorted({m.max_density for m in metrics}):
-            sub = [m for m in metrics if m.max_density == density]
-            writer.writerow(agg_row(f"density={density}", sub))
+        writer.writerow(["overall", *_aggregate(metrics).values()])
+        for density, agg in _per_density(metrics).items():
+            writer.writerow([f"density={density}", *agg.values()])
     return episodes_path, aggregate_path
 
 

@@ -373,9 +373,11 @@ def layer_norm(a, gain, bias, eps=1e-5):
     x = a.data
     if x.ndim == 0:
         raise ShapeError("layer_norm expects at least a 1-D tensor")
-    # the same centring, squares, sum and division as ``np.var``, done once
-    xc = x - x.mean(axis=-1, keepdims=True)
-    var = (xc * xc).sum(axis=-1, keepdims=True) / x.shape[-1]
+    # every mean is the sum and division ``np.mean`` runs, without its Python wrappers;
+    # the centring, squares, sum and division are ``np.var``'s, done once
+    n = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / n
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
@@ -384,8 +386,8 @@ def layer_norm(a, gain, bias, eps=1e-5):
         dxhat = g * gain.data
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - dxhat.sum(axis=-1, keepdims=True) / n
+            - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / n
         )
         axes = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=axes)

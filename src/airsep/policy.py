@@ -302,7 +302,10 @@ def forward_tensors(obs, params):
 
     The value is the head's raw output, in normalized return units.
     """
-    logits, value = forward_batch(*pad_observations([obs]), params)
+    n = obs.n_intruders
+    ownship = np.asarray(obs.ownship, dtype=np.float64).reshape(1, OWNSHIP_DIM)
+    intruders = np.asarray(obs.intruders, dtype=np.float64).reshape(1, n, INTRUDER_DIM)
+    logits, value = forward_batch(ownship, intruders, (n,), params)
     return nm.reshape(logits, (N_ACTIONS,)), nm.reshape(value, ())
 
 

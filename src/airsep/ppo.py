@@ -117,12 +117,6 @@ class TrainStats:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnvStep:
-    rewards: dict
-    dones: dict
-
-
 class SectorEnv:
     """One independent world stream that regenerates a fresh scenario per episode."""
 
@@ -142,24 +136,6 @@ class SectorEnv:
             sector=self.scenario.sector,
             n_aircraft=self.scenario.n_aircraft,
         )
-
-    def observe(self):
-        """Egocentric observations of all active aircraft, id-sorted."""
-        return {
-            aid: featurize(self.world, aid)
-            for aid in sorted(self.world.active_ids())
-        }
-
-    def step(self, actions):
-        result = airspace.step(self.world, actions)
-        rewards = {
-            aid: compute_reward(
-                result.post_move, aid, result.events, self.reward_params, self.world.sector
-            )
-            for aid in actions
-        }
-        dones = {aid: 1.0 if aid in result.removals else 0.0 for aid in actions}
-        return EnvStep(rewards=rewards, dones=dones)
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +207,10 @@ def collect_rollouts(envs, params, horizon, rng):
                     env.regenerate()
                 else:
                     airspace.step(env.world, {})
-            obs_map = env.observe()
-            actions, chosen = {}, {}
-            for aid, obs in obs_map.items():
-                advisory, log_prob, value = policy_mod.act(obs, params, rng, "sample")
-                actions[aid] = advisory
-                chosen[aid] = (int(advisory), log_prob, value)
-            env_step = env.step(actions)
+            world = env.world
+            obs_map = {aid: featurize(world, aid) for aid in sorted(world.active_ids())}
+            chosen = {aid: policy_mod.act(obs, params, rng, "sample") for aid, obs in obs_map.items()}
+            result = airspace.step(world, {aid: advisory for aid, (advisory, _, _) in chosen.items()})
             for aid, obs in obs_map.items():
                 key = (env_index, env.episode, aid)
                 track = open_tracks.get(key)
@@ -245,16 +218,17 @@ def collect_rollouts(envs, params, horizon, rng):
                     track = Track(env_index=env_index, episode=env.episode, agent_id=aid)
                     open_tracks[key] = track
                     buffer.tracks.append(track)
-                action, log_prob, value = chosen[aid]
+                advisory, log_prob, value = chosen[aid]
                 track.observations.append(obs)
-                track.actions.append(action)
+                track.actions.append(int(advisory))
                 track.log_probs.append(log_prob)
                 track.values.append(value)
-                track.rewards.append(env_step.rewards[aid])
-                done = env_step.dones[aid]
-                track.dones.append(done)
+                track.rewards.append(
+                    compute_reward(result.post_move, aid, result.events, env.reward_params, world.sector)
+                )
+                done = aid in result.removals
+                track.dones.append(float(done))
                 if done:
-                    track.bootstrap_value = 0.0
                     del open_tracks[key]
     for (env_index, _, aid), track in open_tracks.items():
         world = envs[env_index].world

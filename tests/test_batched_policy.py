@@ -244,3 +244,13 @@ def test_padding_leaves_other_rows_unchanged(case, extra, position):
     assert np.max(np.abs(p_logits[keep] - logits)) <= TOL
     assert np.max(np.abs(p_values[keep] - values)) <= TOL
 
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(0, 19), st.integers(0, 2**32 - 1))
+def test_batch_of_one_needs_no_padding(layers, n, seed):
+    params, (obs,), _ = _setup({"layers": layers, "counts": [n], "seed": seed})
+    with nm.no_grad():
+        logits, value = forward_tensors(obs, params)
+    padded_logits, padded_values = _batched(params, [obs])
+    assert np.array_equal(logits.data, padded_logits[0])
+    assert value.data == padded_values[0]

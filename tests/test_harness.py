@@ -333,6 +333,17 @@ def test_cli_eval_rejects_unknown_network_metadata(tmp_path, capsys):
     _assert_clean_error(code, capsys, "dropout")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("episodes", ["0", "-1"])
+def test_cli_eval_rejects_fewer_than_one_episode(tmp_path, capsys, episodes):
+    params = init_params(PolicyConfig(d_emb=16, d_ff=32, heads=4, layers=1), np.random.default_rng(1))
+    ckpt = save_policy(tmp_path / "fresh", params, meta={"seed": 0})
+    code = cli(["eval", "--checkpoint", str(ckpt), "--case", "headon", "--episodes", episodes,
+                "--out", str(tmp_path / "report")])
+    _assert_clean_error(code, capsys, "at least one episode")
+    assert not (tmp_path / "report").exists()
+
+
 def test_cli_rollout_dump_rejects_unknown_sector_metadata(tmp_path, capsys):
     ckpt = _checkpoint_with_meta(tmp_path, "sector_si", {"wind": 3.0})
     code = cli(["rollout-dump", "--checkpoint", str(ckpt), "--case", "headon",

@@ -131,6 +131,26 @@ def test_layer_norm_equals_the_numpy_var_formula_bit_for_bit():
         assert np.array_equal(nm.layer_norm(Tensor(x), gain, bias, eps=1e-5).data, want)
 
 
+def test_layer_norm_gradients_equal_the_mean_formula_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for shape in [(3, 1, 8), (4, 6, 16), (2, 5, 128)]:
+        x = rng.standard_normal(shape) * 3.0 - 1.0
+        g = rng.standard_normal(shape)
+        gain = Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
+        bias = Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
+        out = nm.layer_norm(Tensor(x, requires_grad=True), gain, bias, eps=1e-5)
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / shape[-1] + 1e-5)
+        xhat = xc * inv
+        dxhat = g * gain.data
+        dx = inv * (
+            dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+        want = (dx, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1)))
+        for got, expected in zip(out.node.backward_fn(g), want):
+            assert np.array_equal(got, expected)
+
+
 def test_layer_norm_hand_example():
     gain, bias = _unit_ln(3)
     out = nm.layer_norm(Tensor([1.0, 2.0, 3.0]), gain, bias, eps=0.0).data

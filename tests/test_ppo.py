@@ -116,22 +116,18 @@ def _make_envs(n_envs, seed, scenario=HEAD_ON):
     return [SectorEnv(scenario, np.random.default_rng(ss), reward_params=RewardParams()) for ss in children]
 
 
-def test_collect_accounting_every_active_agent_every_step():
+def test_collect_accounting_every_active_agent_every_step(monkeypatch):
     params = init_params(SMOKE_NET, np.random.default_rng(0))
     envs = _make_envs(2, 42)
     per_step_counts = []
-    original_observe = SectorEnv.observe
+    original_step = ppo_module.airspace.step
 
-    def counting_observe(self):
-        obs = original_observe(self)
-        per_step_counts.append(len(obs))
-        return obs
+    def counting_step(world, joint_actions):
+        per_step_counts.append(len(joint_actions))
+        return original_step(world, joint_actions)
 
-    SectorEnv.observe = counting_observe
-    try:
-        buf = collect_rollouts(envs, params, horizon=80, rng=np.random.default_rng(7))
-    finally:
-        SectorEnv.observe = original_observe
+    monkeypatch.setattr(ppo_module.airspace, "step", counting_step)
+    buf = collect_rollouts(envs, params, horizon=80, rng=np.random.default_rng(7))
     assert len(buf) == sum(per_step_counts)
     assert len(buf) == sum(len(t) for t in buf.tracks)
 
