@@ -635,7 +635,7 @@ def build_spawn_schedule(rng, env_kind, routes, n_aircraft=None):
     if env_kind is EnvKind.CASE_C:
         n = len(routes)
     elif n_aircraft is not None:
-        n = int(n_aircraft)
+        n = operator.index(n_aircraft)
     else:
         n = int(rng.integers(1, 21))
     if n < 1:
@@ -676,7 +676,7 @@ def make_world(env_kind, rng, sector=None, n_aircraft=None):
     elif env_kind is EnvKind.HEAD_ON:
         routes = head_on_routes()
     elif env_kind is EnvKind.CASE_C:
-        n_aircraft = int(rng.integers(1, 11)) if n_aircraft is None else int(n_aircraft)
+        n_aircraft = int(rng.integers(1, 11)) if n_aircraft is None else operator.index(n_aircraft)
         routes = generate_case(env_kind, rng, sector, n_aircraft=n_aircraft)
     else:
         routes = generate_case(env_kind, rng, sector)

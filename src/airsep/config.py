@@ -37,12 +37,12 @@ def _reject_unknown(mapping, allowed, where):
 
 def _from_fields(cls, mapping, where):
     """``cls`` from a section keyed by its field names (missing keys take defaults);
-    a value of the wrong type raises ValueError naming the section."""
+    a value the class rejects raises ValueError naming the section."""
     mapping = mapping or {}
     _reject_unknown(mapping, [f.name for f in fields(cls)], where)
     try:
         return cls(**mapping)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"bad value in {where}: {exc}") from exc
 
 
@@ -62,22 +62,21 @@ def scenario_from_config(mapping):
     _reject_unknown(mapping, ("env", "sector", "n_aircraft"), "scenario")
     env = EnvKind(mapping.get("env", "training"))
     sector = sector_from_config(mapping.get("sector"))
-    n_aircraft = mapping.get("n_aircraft")
-    return ScenarioSpec(env_kind=env, sector=sector, n_aircraft=n_aircraft)
+    spec = {"env_kind": env, "sector": sector, "n_aircraft": mapping.get("n_aircraft")}
+    return _from_fields(ScenarioSpec, spec, "scenario")
 
 
 def training_config_from_dict(mapping):
     allowed = ("seed", "scenario", "network", "reward", "ppo", "checkpoint_every", "init_checkpoint")
     _reject_unknown(mapping, allowed, "training config")
-    return TrainConfig(
-        seed=int(mapping.get("seed", 0)),
+    top = {key: mapping[key] for key in ("seed", "checkpoint_every", "init_checkpoint") if key in mapping}
+    return _from_fields(TrainConfig, dict(
+        top,
         hyper=_from_fields(HyperParams, mapping.get("ppo"), "ppo"),
         network=_from_fields(PolicyConfig, mapping.get("network"), "network"),
         reward=_from_fields(RewardParams, mapping.get("reward"), "reward"),
         scenario=scenario_from_config(mapping.get("scenario")),
-        checkpoint_every=int(mapping.get("checkpoint_every", 50)),
-        init_checkpoint=mapping.get("init_checkpoint"),
-    )
+    ), "training config")
 
 
 def load_training_config(path):

@@ -22,14 +22,20 @@ from .airspace import INTRUDER_FEATURES, pair_geometry
 
 @dataclass(frozen=True)
 class EgoObservation:
-    """One agent's egocentric view: 2 ownship features + (n, 7) intruder rows."""
+    """One agent's egocentric view: 2 ownship features + (n, 7) intruder rows,
+    or a stack of B views with one intruder count: ownship (B, 2), intruders (B, n, 7)."""
 
     ownship: np.ndarray
     intruders: np.ndarray
 
     @property
     def n_intruders(self):
-        return self.intruders.shape[0]
+        return self.intruders.shape[-2]
+
+
+def stack_observations(views):
+    """One stacked observation of views with equal intruder counts, in order."""
+    return EgoObservation(np.stack([v.ownship for v in views]), np.stack([v.intruders for v in views]))
 
 
 def featurize(world, aircraft_id):

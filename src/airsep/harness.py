@@ -12,7 +12,7 @@ import numpy as np
 
 from . import airspace, config as config_mod, numerics as nm, policy as policy_mod, ppo
 from .airspace import KT, Advisory, EnvKind, ScenarioError, SectorParams, make_world, write_event_log
-from .featurize import EgoObservation, featurize
+from .featurize import EgoObservation, featurize, stack_observations
 from .numerics import NumericsError, Tensor, finite_diff_check
 from .policy import PolicyConfig, init_params
 
@@ -48,6 +48,7 @@ AGGREGATE_HEADER = ("scope", "episodes", *(f"mean_{name}" for name in METRIC_NAM
 def run_episode(world, action_fn, max_steps=200_000, trajectory=None, events_out=None):
     """Drive one world to termination under ``action_fn(aircraft_id, obs) -> Advisory``.
 
+    A :class:`PolicyAdvisories` gets each step whole: the sorted ids and one stacked observation.
     Optionally appends trajectory rows / safety events to the provided lists.
     """
     sector = world.sector
@@ -63,9 +64,13 @@ def run_episode(world, action_fn, max_steps=200_000, trajectory=None, events_out
             raise RuntimeError(f"episode did not terminate within {max_steps} steps")
         steps += 1
         max_density = max(max_density, len(world.aircraft))
-        obs_map = {aid: featurize(world, aid) for aid in sorted(world.active_ids())}
-        actions = {aid: action_fn(aid, obs) for aid, obs in obs_map.items()}
-        result = airspace.step(world, actions)
+        ids = sorted(world.active_ids())
+        observations = [featurize(world, aid) for aid in ids]
+        if ids and isinstance(action_fn, PolicyAdvisories):
+            advisories = action_fn(ids, stack_observations(observations))
+        else:
+            advisories = [action_fn(aid, obs) for aid, obs in zip(ids, observations)]
+        result = airspace.step(world, dict(zip(ids, advisories)))
         for event in result.events:
             if event.kind is airspace.EventKind.NMAC:
                 nmac_count += 1
@@ -92,12 +97,23 @@ def run_episode(world, action_fn, max_steps=200_000, trajectory=None, events_out
     )
 
 
+class PolicyAdvisories:
+    """The policy as an ``action_fn``: ``(aid, obs)`` gives one agent's advisory,
+    and ``(ids, stacked obs)`` a whole step's, from one ``policy.act``."""
+
+    def __init__(self, params, mode, rng=None):
+        self.params, self.mode, self.rng = params, mode, rng
+
+    def __call__(self, aid, obs):
+        return policy_mod.act(obs, self.params, self.rng, self.mode)[0]
+
+
 def greedy_action_fn(params):
-    return lambda aid, obs: policy_mod.act(obs, params, mode="greedy")[0]
+    return PolicyAdvisories(params, "greedy")
 
 
 def sampling_action_fn(params, rng):
-    return lambda aid, obs: policy_mod.act(obs, params, rng, mode="sample")[0]
+    return PolicyAdvisories(params, "sample", rng)
 
 
 def random_action_fn(rng):
@@ -135,20 +151,15 @@ def evaluate(params, env_kind, n_episodes, seed, sector=None, n_aircraft=None, a
     """
     if n_episodes < 1:
         raise ValueError(f"need at least one episode, got {n_episodes}")
+    if action_mode not in ("greedy", "sample", "random"):
+        raise ValueError(f"unknown action_mode {action_mode!r}")
     env_kind = EnvKind(env_kind)
     children = np.random.SeedSequence(seed).spawn(n_episodes)
     metrics = []
     for child in children:
         rng = np.random.default_rng(child)
         world = make_world(env_kind, rng, sector=sector, n_aircraft=n_aircraft)
-        if action_mode == "greedy":
-            fn = greedy_action_fn(params)
-        elif action_mode == "sample":
-            fn = sampling_action_fn(params, rng)
-        elif action_mode == "random":
-            fn = random_action_fn(rng)
-        else:
-            raise ValueError(f"unknown action_mode {action_mode!r}")
+        fn = random_action_fn(rng) if action_mode == "random" else PolicyAdvisories(params, action_mode, rng)
         metrics.append(run_episode(world, fn))
     return EvaluationResult(metrics, _aggregate(metrics), _per_density(metrics))
 

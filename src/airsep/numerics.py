@@ -202,21 +202,25 @@ def matmul(a, b):
     """Matrix product with standard vector promotion.
 
     1-D/2-D operands multiply as usual. An ``a`` with leading batch axes,
-    shape (..., k), multiplies a 2-D weight (k, m) row by row; the weight's
-    gradient sums over every leading axis in one product.
+    shape (..., k), multiplies a 2-D weight (k, m) row by row: recorded, as one
+    flattened GEMM, whose weight gradient sums over every leading axis in one
+    product; under :class:`no_grad`, item by item (one GEMM per leading index),
+    so each item gets the bits of its product alone.
     """
     out, bwd = _matmul_arrays(a.data, b.data)
     return _op(out, [a, b], bwd, "matmul")
 
 
 def _matmul_arrays(ad, bd):
-    """The product of :func:`matmul` on arrays, and its backward rule."""
+    """The product of :func:`matmul` on arrays, and its backward rule (None if unrecorded 3-D)."""
     if ad.ndim == 0 or bd.ndim == 0:
         raise ShapeError("matmul requires 1-D or 2-D operands")
     if bd.ndim > 2 or (ad.ndim > 2 and bd.ndim != 2):
         raise ShapeError(f"a batched matmul needs a 2-D right operand, got {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {ad.shape} @ {bd.shape}")
+    if ad.ndim > 2 and not _grad_enabled:
+        return ad @ bd, None
     a2 = ad.reshape(-1, ad.shape[-1])
     b2 = bd if bd.ndim == 2 else bd[:, None]
     out = (a2 @ b2).reshape(ad.shape[:-1] + bd.shape[1:])

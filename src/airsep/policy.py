@@ -16,7 +16,9 @@ attends to its classifier token alone). The last encoder layer is pooling by
 multi-head attention with the classifier token as its one seed (Set
 Transformer, Lee et al. 2019): only that row queries, so its attention
 output, second layer norm and FFN are computed for that row alone.
-:func:`forward_tensors` is the batch of one, without padding.
+:func:`forward_tensors`, :func:`forward` and :func:`act` take one observation
+(a batch of one, without padding) or a stacked one (one world step, one
+intruder count), whose rows get the bits of each observation run alone.
 
 Each :class:`EncoderLayerParams` owns its attention's projections (``attn_*``)
 around :func:`numerics.mha_core`; field order fixes the checkpoint names.
@@ -218,7 +220,7 @@ def make_cls_token(ownship, params):
     """Condition the learnable base token on the ownship block:
     layer_norm(gelu(affine(concat(base, ownship)))).
 
-    ``ownship`` is one (2,) block or a batch (B, 2), with one token per row.
+    ``ownship`` is one (2,) block or a batch (..., 2), with one token per block.
     """
     own = Tensor(ownship)
     base = nm.add(Tensor(np.zeros(own.shape[:-1] + params.cls_base.shape)), params.cls_base)
@@ -284,36 +286,36 @@ def forward_batch(ownship, intruders, counts, params):
     """
     counts = np.asarray(counts)
     b, t = intruders.shape[0], intruders.shape[1]
-    cls_tok = nm.reshape(make_cls_token(ownship, params), (b, 1, params.config.d_emb))
+    # classifier token, pooled row and heads stay (B, 1, .): one product per row unrecorded
+    cls_tok = make_cls_token(np.reshape(ownship, (b, 1, OWNSHIP_DIM)), params)
     intr_tok = make_intruder_tokens(intruders, params)
     tokens = cls_tok if intr_tok is None else nm.concat([cls_tok, intr_tok], axis=1)
     key_mask = None
     if np.any(counts != t):
         key_mask = np.concatenate([np.ones((b, 1), dtype=bool), np.arange(t) < counts[:, None]], axis=1)
-    pooled = nm.reshape(_encoder(tokens, key_mask, params), (b, params.config.d_emb))
-    logits = nm.affine(pooled, params.pi_w, params.pi_b)
+    pooled = _encoder(tokens, key_mask, params)
+    logits = nm.reshape(nm.affine(pooled, params.pi_w, params.pi_b), (b, N_ACTIONS))
     value = nm.reshape(nm.affine(pooled, params.v_w, params.v_b), (b,))
     return logits, value
 
 
 def forward_tensors(obs, params):
     """Graph-building forward pass of one observation (a batch of one, no
-    padding); returns (logits (3,), value 0-d) tensors.
-
-    The value is the head's raw output, in normalized return units.
-    """
-    n = obs.n_intruders
-    ownship = np.asarray(obs.ownship, dtype=np.float64).reshape(1, OWNSHIP_DIM)
-    intruders = np.asarray(obs.intruders, dtype=np.float64).reshape(1, n, INTRUDER_DIM)
-    logits, value = forward_batch(ownship, intruders, (n,), params)
-    return nm.reshape(logits, (N_ACTIONS,)), nm.reshape(value, ())
+    padding) or a stacked one: logits (3,) or (B, 3) and the value head's raw
+    output, 0-d or (B,), in normalized return units."""
+    ownship = np.asarray(obs.ownship, dtype=np.float64).reshape(-1, OWNSHIP_DIM)
+    b, n, rows = len(ownship), obs.n_intruders, np.shape(obs.ownship)[:-1]
+    intruders = np.asarray(obs.intruders, dtype=np.float64).reshape(b, n, INTRUDER_DIM)
+    logits, value = forward_batch(ownship, intruders, np.full(b, n), params)
+    return nm.reshape(logits, rows + (N_ACTIONS,)), nm.reshape(value, rows)
 
 
 def forward(obs, params):
-    """Advisory logits and state value in reward units, as plain numbers (no recorded graph)."""
+    """Advisory logits and state value in reward units, as plain numbers (no
+    recorded graph); a stacked observation gives a list of values."""
     with nm.no_grad():
         logits, value = forward_tensors(obs, params)
-    return logits.data, params.value_norm.denormalize(float(value.data))
+    return logits.data, params.value_norm.denormalize(value.data).tolist()
 
 
 def _log_softmax_np(logits):
@@ -323,18 +325,22 @@ def _log_softmax_np(logits):
 
 
 def act(obs, params, rng=None, mode="sample"):
-    """Draw or argmax an advisory; returns (advisory, log_prob, value in reward units)."""
-    logits, value = forward(obs, params)
-    logp = _log_softmax_np(logits)
-    if mode == "greedy":
-        a = int(np.argmax(logits))
-    elif mode == "sample":
-        if rng is None:
-            raise ValueError("sample mode needs a seeded rng")
-        a = int(rng.choice(N_ACTIONS, p=np.exp(logp)))
-    else:
+    """Draw or argmax an advisory; returns (advisory, log_prob, value in reward units),
+    or for a stacked observation three lists, drawing one ``rng.choice`` per row in order."""
+    if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown action mode {mode!r}")
-    return Advisory(a), float(logp[a]), value
+    if mode == "sample" and rng is None:
+        raise ValueError("sample mode needs a seeded rng")
+    logits, value = forward(obs, params)
+    advisories, log_probs = [], []
+    for row in np.reshape(logits, (-1, N_ACTIONS)):
+        logp = _log_softmax_np(row)
+        a = int(np.argmax(row)) if mode == "greedy" else int(rng.choice(N_ACTIONS, p=np.exp(logp)))
+        advisories.append(Advisory(a))
+        log_probs.append(float(logp[a]))
+    if logits.ndim == 1:
+        return advisories[0], log_probs[0], value
+    return advisories, log_probs, value
 
 
 # ---------------------------------------------------------------------------

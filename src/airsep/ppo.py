@@ -28,7 +28,7 @@ import numpy as np
 
 from . import airspace, numerics as nm, policy as policy_mod
 from .airspace import EnvKind, SectorParams, make_world
-from .featurize import featurize
+from .featurize import featurize, stack_observations
 from .numerics import Tensor
 from .policy import PolicyConfig, forward_batch, init_params
 from .reward import RewardParams, compute_reward
@@ -84,6 +84,10 @@ class ScenarioSpec:
     sector: SectorParams = field(default_factory=SectorParams)
     n_aircraft: int | None = None
 
+    def __post_init__(self):
+        if self.n_aircraft is not None:
+            operator.index(self.n_aircraft)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -94,6 +98,11 @@ class TrainConfig:
     scenario: ScenarioSpec = field(default_factory=ScenarioSpec)
     checkpoint_every: int = 50
     init_checkpoint: str | None = None
+
+    def __post_init__(self):
+        operator.index(self.seed)
+        if isinstance(self.seed, bool) or operator.index(self.checkpoint_every) < 0:
+            raise ValueError("seed must be an integer and checkpoint_every an integer >= 0")
 
 
 @dataclass
@@ -193,6 +202,7 @@ def collect_rollouts(envs, params, horizon, rng):
     A step counts against the horizon only if some aircraft is aloft: an env
     with none (before the first spawn, or between spawns) is stepped with no
     actions until one spawns, so every counted step yields transitions.
+    A counted step is one stacked ``policy.act`` (rows in id order); bootstraps, one ``forward`` per env.
     Stored values and bootstraps are in reward units: the value head's
     normalized output de-normalized with the parameters' current statistics.
     """
@@ -208,17 +218,17 @@ def collect_rollouts(envs, params, horizon, rng):
                 else:
                     airspace.step(env.world, {})
             world = env.world
-            obs_map = {aid: featurize(world, aid) for aid in sorted(world.active_ids())}
-            chosen = {aid: policy_mod.act(obs, params, rng, "sample") for aid, obs in obs_map.items()}
-            result = airspace.step(world, {aid: advisory for aid, (advisory, _, _) in chosen.items()})
-            for aid, obs in obs_map.items():
+            ids = sorted(world.active_ids())
+            observations = [featurize(world, aid) for aid in ids]
+            chosen = policy_mod.act(stack_observations(observations), params, rng, "sample")
+            result = airspace.step(world, dict(zip(ids, chosen[0])))
+            for aid, obs, advisory, log_prob, value in zip(ids, observations, *chosen):
                 key = (env_index, env.episode, aid)
                 track = open_tracks.get(key)
                 if track is None:
                     track = Track(env_index=env_index, episode=env.episode, agent_id=aid)
                     open_tracks[key] = track
                     buffer.tracks.append(track)
-                advisory, log_prob, value = chosen[aid]
                 track.observations.append(obs)
                 track.actions.append(int(advisory))
                 track.log_probs.append(log_prob)
@@ -230,10 +240,12 @@ def collect_rollouts(envs, params, horizon, rng):
                 track.dones.append(float(done))
                 if done:
                     del open_tracks[key]
-    for (env_index, _, aid), track in open_tracks.items():
-        world = envs[env_index].world
-        obs = featurize(world, aid)
-        _, track.bootstrap_value = policy_mod.forward(obs, params)
+    for env_index, env in enumerate(envs):
+        tracks = {aid: track for (i, _, aid), track in open_tracks.items() if i == env_index}
+        if tracks:
+            stacked = stack_observations([featurize(env.world, aid) for aid in tracks])
+            for track, value in zip(tracks.values(), policy_mod.forward(stacked, params)[1]):
+                track.bootstrap_value = value
     return buffer
 
 

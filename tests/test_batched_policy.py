@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airsep import numerics as nm
-from airsep.featurize import EgoObservation
+from airsep.featurize import EgoObservation, stack_observations
 from airsep.policy import (
-    LAYER_NORM_EPS, PolicyConfig, ValueNormalizer, forward, forward_batch, forward_tensors,
-    init_params, pad_observations,
+    LAYER_NORM_EPS, PolicyConfig, ValueNormalizer, _encoder, act, forward, forward_batch, forward_tensors,
+    init_params, make_cls_token, make_intruder_tokens, pad_observations,
 )
 from airsep.ppo import HyperParams, ppo_loss
 
@@ -254,3 +254,112 @@ def test_batch_of_one_needs_no_padding(layers, n, seed):
     padded_logits, padded_values = _batched(params, [obs])
     assert np.array_equal(logits.data, padded_logits[0])
     assert value.data == padded_values[0]
+
+
+# ---------------------------------------------------------------------------
+# stacked observations: one world step, one intruder count
+# ---------------------------------------------------------------------------
+
+STACKS = st.fixed_dictionaries({
+    "layers": st.integers(1, 3),
+    "rows": st.integers(1, 8),
+    "n": st.integers(0, 19),
+    "paper_width": st.booleans(),
+    "seed": st.integers(0, 2**32 - 1),
+})
+STACK_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+def _stack_setup(case):
+    rng = np.random.default_rng(case["seed"])
+    width = {} if case["paper_width"] else {"d_emb": 8, "d_ff": 16, "heads": 2}
+    params = init_params(PolicyConfig(layers=case["layers"], **width), rng)
+    params.value_norm = ValueNormalizer(count=10, mean=-3.25, var=7.5)
+    return params, [_observation(rng, case["n"]) for _ in range(case["rows"])]
+
+
+@STACK_SETTINGS
+@given(STACKS)
+def test_stacked_forward_rows_equal_per_observation_forwards(case):
+    params, observations = _stack_setup(case)
+    stacked = stack_observations(observations)
+    assert stacked.n_intruders == case["n"]
+    logits, values = forward(stacked, params)
+    assert logits.shape == (case["rows"], 3) and len(values) == case["rows"]
+    for i, obs in enumerate(observations):
+        row_logits, row_value = forward(obs, params)
+        assert np.array_equal(logits[i], row_logits)
+        assert values[i] == row_value and type(values[i]) is float
+
+
+@STACK_SETTINGS
+@given(STACKS)
+def test_stacked_act_rows_equal_per_observation_acts(case):
+    params, observations = _stack_setup(case)
+    stacked = stack_observations(observations)
+    greedy = act(stacked, params, mode="greedy")
+    assert list(zip(*greedy)) == [act(obs, params, mode="greedy") for obs in observations]
+    # sample mode: twin generators draw the same advisories, one draw per row in order
+    sampled = act(stacked, params, np.random.default_rng(case["seed"]), "sample")
+    twin = np.random.default_rng(case["seed"])
+    assert list(zip(*sampled)) == [act(obs, params, twin, "sample") for obs in observations]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 8), st.integers(1, 20), st.sampled_from([2, 7, 130, 512]),
+    st.sampled_from([1, 3, 128, 512]), st.integers(0, 2**32 - 1),
+)
+def test_unrecorded_3d_products_equal_per_item_products(b, rows, k, m, seed):
+    rng = np.random.default_rng(seed)
+    a, w, bias = rng.standard_normal((b, rows, k)), rng.standard_normal((k, m)), rng.standard_normal(m)
+    with nm.no_grad():
+        prod = nm.matmul(nm.Tensor(a), nm.Tensor(w, requires_grad=True)).data
+        fused = nm.affine(nm.Tensor(a), nm.Tensor(w, requires_grad=True), nm.Tensor(bias)).data
+    for i in range(b):
+        assert np.array_equal(prod[i], a[i] @ w)
+        assert np.array_equal(fused[i], a[i] @ w + bias)
+    # a recorded product stays one flattened GEMM
+    recorded = nm.matmul(nm.Tensor(a, requires_grad=True), nm.Tensor(w)).data
+    assert np.array_equal(recorded, (a.reshape(-1, k) @ w).reshape(b, rows, m))
+
+
+def _forward_batch_2d_heads(ownship, intruders, counts, params):
+    """``forward_batch`` as it was before stacking: a (B, d) classifier token,
+    pooled row and heads, each product one flattened GEMM."""
+    counts = np.asarray(counts)
+    b, t = intruders.shape[0], intruders.shape[1]
+    cls_tok = nm.reshape(make_cls_token(ownship, params), (b, 1, params.config.d_emb))
+    intr_tok = make_intruder_tokens(intruders, params)
+    tokens = cls_tok if intr_tok is None else nm.concat([cls_tok, intr_tok], axis=1)
+    key_mask = None
+    if np.any(counts != t):
+        key_mask = np.concatenate([np.ones((b, 1), dtype=bool), np.arange(t) < counts[:, None]], axis=1)
+    pooled = nm.reshape(_encoder(tokens, key_mask, params), (b, params.config.d_emb))
+    logits = nm.affine(pooled, params.pi_w, params.pi_b)
+    value = nm.reshape(nm.affine(pooled, params.v_w, params.v_b), (b,))
+    return logits, value
+
+
+@SETTINGS
+@given(CASES, st.booleans())
+def test_recorded_forward_batch_values_and_gradients_are_unchanged(case, paper_width):
+    rng = np.random.default_rng(case["seed"])
+    width = {} if paper_width else {"d_emb": 8, "d_ff": 16, "heads": 2}
+    params = init_params(PolicyConfig(layers=case["layers"], **width), rng)
+    rows = pad_observations([_observation(rng, n) for n in case["counts"]])
+    weights = rng.standard_normal((len(case["counts"]), 4))
+    outputs = {}
+
+    def loss(forward_fn):
+        logits, value = forward_fn(*rows, params)
+        outputs[forward_fn] = logits.data, value.data
+        return nm.add(nm.tsum(nm.mul(nm.log_softmax(logits), nm.Tensor(weights[:, :3]))),
+                      nm.tsum(nm.mul(value, nm.Tensor(weights[:, 3]))))
+
+    got = _gradients(params, lambda: loss(forward_batch))
+    want = _gradients(params, lambda: loss(_forward_batch_2d_heads))
+    for g, w in zip(outputs[forward_batch], outputs[_forward_batch_2d_heads]):
+        assert np.array_equal(g, w)
+    for name, g, w in zip(params.named_parameters(), got, want):
+        assert np.array_equal(g, w), name

@@ -1,8 +1,14 @@
 """Harness oracles: scripted-trajectory metrics, smoothing, reports, CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import airsep
 from airsep.airspace import (
     Advisory,
     AircraftStatus,
@@ -10,6 +16,7 @@ from airsep.airspace import (
     Route,
     SectorParams,
     make_custom_world,
+    make_world,
 )
 from airsep.harness import (
     EpisodeMetrics,
@@ -22,7 +29,7 @@ from airsep.harness import (
     smooth_curve,
 )
 from airsep.numerics import save_checkpoint
-from airsep.policy import PolicyConfig, init_params, save_policy
+from airsep.policy import PolicyConfig, ValueNormalizer, act, init_params, save_policy
 
 # round-number SI sector so every scripted quantity below is exact in floats
 SCRIPT_SECTOR = SectorParams(
@@ -209,6 +216,39 @@ def test_evaluate_greedy_deterministic():
     assert a.episodes == b.episodes
 
 
+def _compact_policy(seed):
+    params = init_params(PolicyConfig(d_emb=16, d_ff=32, heads=4, layers=1), np.random.default_rng(seed))
+    params.value_norm = ValueNormalizer(count=10, mean=-3.25, var=7.5)
+    return params
+
+
+def test_greedy_episode_equals_per_agent_greedy_advisories():
+    params = _compact_policy(2)
+    stacked = run_episode(make_world("c", np.random.default_rng(5), n_aircraft=8), greedy_action_fn(params))
+    per_agent = run_episode(
+        make_world("c", np.random.default_rng(5), n_aircraft=8),
+        lambda aid, obs: act(obs, params, mode="greedy")[0],
+    )
+    assert stacked.max_density == 8
+    assert stacked == per_agent
+
+
+def test_sampled_evaluation_equals_per_agent_sampling():
+    params = _compact_policy(3)
+    result = evaluate(params, "c", n_episodes=2, seed=12, n_aircraft=5, action_mode="sample")
+    twins = []
+    for child in np.random.SeedSequence(12).spawn(2):
+        rng = np.random.default_rng(child)
+        world = make_world("c", rng, n_aircraft=5)
+        twins.append(run_episode(world, lambda aid, obs: act(obs, params, rng, "sample")[0]))
+    assert result.episodes == twins
+
+
+def test_evaluate_rejects_an_unknown_action_mode_before_any_episode():
+    with pytest.raises(ValueError, match="unknown action_mode"):
+        evaluate(None, "headon", n_episodes=1, seed=0, action_mode="hold")
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -317,6 +357,39 @@ def test_cli_train_rejects_values_of_the_wrong_type(tmp_path, capsys, section, f
     code = cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
     _assert_clean_error(code, capsys, fragment)
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("seed: 1.5", "bad value in training config"),
+        ("seed: true", "bad value in training config"),
+        ("checkpoint_every: -3", "bad value in training config"),
+        ("scenario: {env: training, n_aircraft: 2.5}", "bad value in scenario"),
+    ],
+    ids=["seed_not_an_integer", "seed_a_bool", "checkpoint_every_negative", "n_aircraft_not_an_integer"],
+)
+def test_cli_train_rejects_values_it_would_coerce(tmp_path, capsys, text, fragment):
+    config = tmp_path / "bad.yaml"
+    config.write_text(
+        "network: {d_emb: 16, d_ff: 32, heads: 4, layers: 1}\n"
+        "ppo: {updates: 1, n_envs: 1, horizon: 8, batch_size: 8, epochs: 1}\n" + text + "\n"
+    )
+    code = cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    _assert_clean_error(code, capsys, fragment)
+    assert not (tmp_path / "run").exists()
+
+
+def test_python_dash_m_airsep_runs_the_cli_without_a_warning(tmp_path):
+    src = str(Path(airsep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "airsep", "eval", "--checkpoint", "x", "--episodes", "0"],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def _checkpoint_with_meta(tmp_path, section, extra):

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from airsep import airspace
 from airsep import numerics as nm
 from airsep import ppo as ppo_module
 from airsep.airspace import SectorParams
 from airsep.config import training_config_from_dict
 from airsep.featurize import featurize
-from airsep.policy import PolicyConfig, forward, init_params, load_policy
+from airsep.policy import PolicyConfig, ValueNormalizer, act, forward, init_params, load_policy
 from airsep.ppo import (
     Adam,
     HyperParams,
@@ -167,6 +168,63 @@ def test_collect_is_deterministic_and_bootstraps_open_tracks():
     for t in buf_a.tracks:
         if t.dones[-1]:
             assert t.bootstrap_value == 0.0
+
+
+def _collect_per_observation(envs, params, horizon, rng):
+    """The rollout loop with one ``act`` per observation and one ``forward`` per
+    bootstrap: the reference that the stacked loop must reproduce bit for bit."""
+    buffer = RolloutBuffer()
+    open_tracks = {}
+    for _ in range(horizon):
+        for env_index, env in enumerate(envs):
+            while env.world.is_done() or not env.world.aircraft:
+                if env.world.is_done():
+                    env.regenerate()
+                else:
+                    airspace.step(env.world, {})
+            world = env.world
+            obs_map = {aid: featurize(world, aid) for aid in sorted(world.active_ids())}
+            chosen = {aid: act(obs, params, rng, "sample") for aid, obs in obs_map.items()}
+            result = airspace.step(world, {aid: advisory for aid, (advisory, _, _) in chosen.items()})
+            for aid, obs in obs_map.items():
+                key = (env_index, env.episode, aid)
+                if key not in open_tracks:
+                    open_tracks[key] = Track(env_index=env_index, episode=env.episode, agent_id=aid)
+                    buffer.tracks.append(open_tracks[key])
+                track = open_tracks[key]
+                advisory, log_prob, value = chosen[aid]
+                track.observations.append(obs)
+                track.actions.append(int(advisory))
+                track.log_probs.append(log_prob)
+                track.values.append(value)
+                track.rewards.append(
+                    ppo_module.compute_reward(result.post_move, aid, result.events, env.reward_params, world.sector)
+                )
+                track.dones.append(float(aid in result.removals))
+                if aid in result.removals:
+                    del open_tracks[key]
+    for (env_index, _, aid), track in open_tracks.items():
+        _, track.bootstrap_value = forward(featurize(envs[env_index].world, aid), params)
+    return buffer
+
+
+def test_collect_equals_the_per_observation_loop_bit_for_bit():
+    params = init_params(PolicyConfig(), np.random.default_rng(8))
+    params.value_norm = ValueNormalizer(count=10, mean=-3.25, var=7.5)
+    training = ScenarioSpec()
+    got = collect_rollouts(_make_envs(2, 17, training), params, horizon=800, rng=np.random.default_rng(6))
+    want = _collect_per_observation(_make_envs(2, 17, training), params, 800, np.random.default_rng(6))
+    assert len(got) == len(want) > 0
+    assert len(got.tracks) == len(want.tracks)
+    assert max(obs.n_intruders for t in got.tracks for obs in t.observations) >= 2
+    assert any(not t.dones[-1] for t in got.tracks)
+    for tg, tw in zip(got.tracks, want.tracks):
+        assert (tg.env_index, tg.episode, tg.agent_id) == (tw.env_index, tw.episode, tw.agent_id)
+        for name in ("actions", "log_probs", "values", "rewards", "dones", "bootstrap_value"):
+            assert getattr(tg, name) == getattr(tw, name), name
+        for og, ow in zip(tg.observations, tw.observations, strict=True):
+            assert np.array_equal(og.ownship, ow.ownship)
+            assert np.array_equal(og.intruders, ow.intruders)
 
 
 # ---------------------------------------------------------------------------
