@@ -289,13 +289,13 @@ class PairGeometry(NamedTuple):
     """All-pairs geometry of one world state, rows and columns in aircraft-id order.
 
     Entry ``[i, j]`` describes aircraft ``j`` as seen from aircraft ``i``.
-    ``intruders[i, j]`` is j's egocentric row for i, columns as in
-    :data:`INTRUDER_FEATURES`: the separation minus r_nmac and minus r_pz,
-    in sector diameters; the sine and cosine of j's bearing relative to i's
-    heading; 1.0 if the separation is <= r_pz, else 0.0; and the radial and
-    tangential components of j's velocity relative to i, in v_max (radial
-    along i->j, tangential a quarter turn CCW from it). Coincident aircraft
-    have bearing 0 and zero closure.
+    ``intruders[i]`` (read-only) holds each other j's egocentric row for i in id
+    order, columns as in :data:`INTRUDER_FEATURES`: the separation minus r_nmac
+    and minus r_pz, in sector diameters; the sine and cosine of j's bearing
+    relative to i's heading; 1.0 if the separation is <= r_pz, else 0.0; and the
+    radial and tangential components of j's velocity relative to i, in v_max
+    (radial along i->j, tangential a quarter turn CCW from it). Coincident
+    aircraft have bearing 0 and zero closure.
     """
 
     key: tuple
@@ -303,7 +303,7 @@ class PairGeometry(NamedTuple):
     index: dict              # aircraft id -> row
     dist: np.ndarray         # (n, n) separations, m
     t_los: np.ndarray        # (n, n) time to loss of separation, s: 0 once p.p <= r_pz^2, inf if never
-    intruders: np.ndarray    # (n, n, 7)
+    intruders: np.ndarray    # (n, n - 1, 7)
 
 
 _BY_ID = operator.attrgetter("aircraft_id")
@@ -341,14 +341,18 @@ def _pairwise_pass(sector, aircraft, key):
     radial = p / (dist + coincident)[..., None]
     closure = _dots(np.stack((radial, radial[..., ::-1] * (-1.0, 1.0)), axis=-2), v[:, :, None])
     heading = np.array([math.atan2(y, x) for x, y in legs[:, 1].tolist()])
-    intruders = np.empty((n, n, len(INTRUDER_FEATURES)))
+    cols = len(INTRUDER_FEATURES)
+    intruders = np.empty((n, n, cols))
     intruders[..., :2] = (dist[..., None] - (sector.r_nmac, sector.r_pz)) / (2.0 * sector.sector_radius)
     intruders[..., 2], intruders[..., 3] = _bearings(p[..., 1], p[..., 0], dist, heading[:, None])
     intruders[..., 4] = dist <= sector.r_pz
     intruders[..., 5:] = np.where(coincident[..., None], 0.0, closure) / sector.v_max
+    # the diagonal dropped: after the first entry, every run of n + 1 flat entries ends on it
+    others = intruders.reshape(n * n, cols)[1:].reshape(n - 1, n + 1, cols)[:, :-1].reshape(n, n - 1, cols)
+    others.flags.writeable = False
     ids = tuple(ac.aircraft_id for ac in acs)
     t_los = _los_time(pp, pv, vv, sector.r_pz)
-    return PairGeometry(key, ids, {aid: k for k, aid in enumerate(ids)}, dist, t_los, intruders)
+    return PairGeometry(key, ids, {aid: k for k, aid in enumerate(ids)}, dist, t_los, others)
 
 
 def detect_events(world):

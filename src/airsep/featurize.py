@@ -7,7 +7,7 @@ angle of the ownship->intruder vector minus the ownship heading, wrapped to
 (-pi, pi]. Coincident aircraft (only reachable after an NMAC) have no such
 vector; they get bearing 0 (sin 0, cos 1) and zero closure.
 
-Intruder rows are rows of the world's pairwise pass
+Intruder rows are read-only views of the world's pairwise pass
 (:func:`airspace.pair_geometry`), which every agent of one world state shares.
 Each row equals, bit for bit, what a loop over intruders with
 ``np.linalg.norm``, ``a @ b`` and ``math.atan2`` would compute.
@@ -33,9 +33,16 @@ class EgoObservation:
         return self.intruders.shape[-2]
 
 
-def stack_observations(views):
-    """One stacked observation of views with equal intruder counts, in order."""
-    return EgoObservation(np.stack([v.ownship for v in views]), np.stack([v.intruders for v in views]))
+def stack_observations(views, worlds=()):
+    """One stacked observation of views with equal intruder counts, in order.
+
+    Given the ``worlds`` the views cover (every active aircraft, world by world in id
+    order), the intruder rows are the worlds' pairwise passes, uncopied for one world.
+    """
+    passes = [pair_geometry(w).intruders for w in worlds if len(w.aircraft) > 1]
+    passes = passes or [np.stack([v.intruders for v in views])]
+    intruders = passes[0] if len(passes) == 1 else np.concatenate(passes)
+    return EgoObservation(np.stack([v.ownship for v in views]), intruders)
 
 
 def featurize(world, aircraft_id):
@@ -53,8 +60,5 @@ def featurize(world, aircraft_id):
     ownship = np.array([own.cas / sector.v_max, abs(own.cas - own.v_des) / speed_span])
     if len(world.aircraft) == 1:
         return EgoObservation(ownship=ownship, intruders=np.empty((0, len(INTRUDER_FEATURES))))
-
     pairs = pair_geometry(world)
-    i = pairs.index[aircraft_id]
-    intruders = np.concatenate((pairs.intruders[i, :i], pairs.intruders[i, i + 1:]))
-    return EgoObservation(ownship=ownship, intruders=intruders)
+    return EgoObservation(ownship=ownship, intruders=pairs.intruders[pairs.index[aircraft_id]])

@@ -12,9 +12,10 @@ import numpy as np
 
 from . import airspace, config as config_mod, numerics as nm, policy as policy_mod, ppo
 from .airspace import KT, Advisory, EnvKind, ScenarioError, SectorParams, make_world, write_event_log
-from .featurize import EgoObservation, featurize, stack_observations
+from .featurize import EgoObservation
 from .numerics import NumericsError, Tensor, finite_diff_check
 from .policy import PolicyConfig, init_params
+from .ppo import PolicyAdvisories
 
 ADHERENCE_TOLERANCE = 10.0 * KT
 GRADIENT_TOLERANCE = 1e-4
@@ -45,75 +46,58 @@ EPISODES_HEADER = ("episode", *METRIC_NAMES)
 AGGREGATE_HEADER = ("scope", "episodes", *(f"mean_{name}" for name in METRIC_NAMES))
 
 
+class _Episode:
+    """One world flown to termination under ``decide``, with its metric counters."""
+
+    def __init__(self, world, decide, max_steps=200_000, trajectory=None, events_out=None):
+        self.world, self.decide, self.max_steps = world, decide, max_steps
+        self.trajectory, self.events_out = trajectory, events_out
+        self.steps = self.nmac_count = self.adherent_steps = self.agent_steps = 0
+        self.los_seconds, self.max_density = 0.0, len(world.aircraft)
+
+    def record(self, result):
+        """Count one step; ``result.post_move`` holds every aircraft that was aloft for it."""
+        self.steps += 1
+        self.max_density = max(self.max_density, len(result.post_move))
+        for event in result.events:
+            self.nmac_count += event.kind is airspace.EventKind.NMAC
+            if event.kind is not airspace.EventKind.CONFLICT:
+                self.los_seconds += self.world.sector.decision_interval
+        for aid, state in sorted(result.post_move.items()):
+            self.agent_steps += 1
+            self.adherent_steps += abs(state.cas - state.v_des) <= ADHERENCE_TOLERANCE
+            if self.trajectory is not None:
+                x, y = state.position
+                self.trajectory.append((self.world.clock, aid, x, y, state.cas, state.v_des, state.heading))
+        if self.events_out is not None:
+            self.events_out.extend(result.events)
+
+    def metrics(self):
+        adherence = self.adherent_steps / self.agent_steps if self.agent_steps else 0.0
+        return EpisodeMetrics(self.nmac_count, self.los_seconds, adherence, self.max_density)
+
+
+def _fly(episodes):
+    """Fly the episodes in lockstep, one shared decision cycle per step; their metrics."""
+    while live := [e for e in episodes if not e.world.is_done()]:
+        if over := [e.max_steps for e in live if e.steps >= e.max_steps]:
+            raise RuntimeError(f"episode did not terminate within {over[0]} steps")
+        for e, decided in zip(live, ppo._decision_cycle([e.world for e in live], [e.decide for e in live])):
+            e.record(decided[-1])
+    return [e.metrics() for e in episodes]
+
+
 def run_episode(world, action_fn, max_steps=200_000, trajectory=None, events_out=None):
     """Drive one world to termination under ``action_fn(aircraft_id, obs) -> Advisory``.
 
-    A :class:`PolicyAdvisories` gets each step whole: the sorted ids and one stacked observation.
+    A :class:`PolicyAdvisories` decides each step with one stacked ``policy.act``.
     Optionally appends trajectory rows / safety events to the provided lists.
     """
-    sector = world.sector
-    dt = sector.decision_interval
-    nmac_count = 0
-    los_seconds = 0.0
-    adherent_steps = 0
-    agent_steps = 0
-    max_density = len(world.aircraft)
-    steps = 0
-    while not world.is_done():
-        if steps >= max_steps:
-            raise RuntimeError(f"episode did not terminate within {max_steps} steps")
-        steps += 1
-        max_density = max(max_density, len(world.aircraft))
-        ids = sorted(world.active_ids())
-        observations = [featurize(world, aid) for aid in ids]
-        if ids and isinstance(action_fn, PolicyAdvisories):
-            advisories = action_fn(ids, stack_observations(observations))
-        else:
-            advisories = [action_fn(aid, obs) for aid, obs in zip(ids, observations)]
-        result = airspace.step(world, dict(zip(ids, advisories)))
-        for event in result.events:
-            if event.kind is airspace.EventKind.NMAC:
-                nmac_count += 1
-                los_seconds += dt
-            elif event.kind is airspace.EventKind.LOS:
-                los_seconds += dt
-        for aid, state in sorted(result.post_move.items()):
-            agent_steps += 1
-            if abs(state.cas - state.v_des) <= ADHERENCE_TOLERANCE:
-                adherent_steps += 1
-            if trajectory is not None:
-                pos = state.position
-                trajectory.append(
-                    (world.clock, aid, pos[0], pos[1], state.cas, state.v_des, state.heading)
-                )
-        if events_out is not None:
-            events_out.extend(result.events)
-    adherence = adherent_steps / agent_steps if agent_steps else 0.0
-    return EpisodeMetrics(
-        nmac_count=nmac_count,
-        los_seconds=los_seconds,
-        speed_adherence=adherence,
-        max_density=max_density,
-    )
-
-
-class PolicyAdvisories:
-    """The policy as an ``action_fn``: ``(aid, obs)`` gives one agent's advisory,
-    and ``(ids, stacked obs)`` a whole step's, from one ``policy.act``."""
-
-    def __init__(self, params, mode, rng=None):
-        self.params, self.mode, self.rng = params, mode, rng
-
-    def __call__(self, aid, obs):
-        return policy_mod.act(obs, self.params, self.rng, self.mode)[0]
+    return _fly([_Episode(world, action_fn, max_steps, trajectory, events_out)])[0]
 
 
 def greedy_action_fn(params):
     return PolicyAdvisories(params, "greedy")
-
-
-def sampling_action_fn(params, rng):
-    return PolicyAdvisories(params, "sample", rng)
 
 
 def random_action_fn(rng):
@@ -142,7 +126,7 @@ def _per_density(metrics):
 
 
 def evaluate(params, env_kind, n_episodes, seed, sector=None, n_aircraft=None, action_mode="greedy"):
-    """Run ``n_episodes`` of a scenario and aggregate episode metrics.
+    """Fly ``n_episodes`` of a scenario in lockstep, each as it would fly alone; aggregate their metrics.
 
     Cases a/b draw a fresh uniform rotation every episode (inside scenario
     generation). ``action_mode`` is ``greedy`` (default for evaluation),
@@ -153,14 +137,15 @@ def evaluate(params, env_kind, n_episodes, seed, sector=None, n_aircraft=None, a
         raise ValueError(f"need at least one episode, got {n_episodes}")
     if action_mode not in ("greedy", "sample", "random"):
         raise ValueError(f"unknown action_mode {action_mode!r}")
+    if params is None and action_mode != "random":
+        raise ValueError(f"{action_mode} evaluation needs policy parameters")
     env_kind = EnvKind(env_kind)
-    children = np.random.SeedSequence(seed).spawn(n_episodes)
-    metrics = []
-    for child in children:
+    episodes = []
+    for child in np.random.SeedSequence(seed).spawn(n_episodes):
         rng = np.random.default_rng(child)
-        world = make_world(env_kind, rng, sector=sector, n_aircraft=n_aircraft)
         fn = random_action_fn(rng) if action_mode == "random" else PolicyAdvisories(params, action_mode, rng)
-        metrics.append(run_episode(world, fn))
+        episodes.append(_Episode(make_world(env_kind, rng, sector=sector, n_aircraft=n_aircraft), fn))
+    metrics = _fly(episodes)
     return EvaluationResult(metrics, _aggregate(metrics), _per_density(metrics))
 
 

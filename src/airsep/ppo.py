@@ -193,6 +193,44 @@ class RolloutBuffer:
         return obs, np.array(acts, dtype=np.int64), np.array(logps), np.array(vals)
 
 
+class PolicyAdvisories:
+    """The policy as a decider of :func:`_decision_cycle`; ``mode`` and ``rng`` as in ``policy.act``."""
+
+    def __init__(self, params, mode, rng=None):
+        self.params, self.mode, self.rng = params, mode, rng
+
+
+def _decision_cycle(worlds, deciders):
+    """Featurize every world's active ids in order, choose their advisories, step the world.
+
+    ``deciders[k]`` chooses for world k: a :class:`PolicyAdvisories` or a per-agent ``action_fn``.
+    Greedy worlds with one parameter set and intruder count share a ``policy.act``, and
+    sample-mode worlds do when consecutive with one decider, so the draws keep world, then
+    id order. Returns ``[ids, observations, advisories, log_probs, values, step result]`` per world.
+    """
+    decided, groups, previous, run = [], {}, None, 0
+    for k, (world, decide) in enumerate(zip(worlds, deciders)):
+        ids = sorted(world.active_ids())
+        observations = [featurize(world, aid) for aid in ids]
+        decided.append([ids, observations, [], None, None])
+        if not isinstance(decide, PolicyAdvisories):
+            decided[k][2] = [decide(aid, obs) for aid, obs in zip(ids, observations)]
+        elif ids:
+            tag = (id(decide.params) if decide.mode == "greedy" else decide, len(ids))
+            run, previous = run if tag == previous else k, tag
+            groups.setdefault(tag if decide.mode == "greedy" else (*tag, run), []).append(k)
+    for members in groups.values():
+        decide, views = deciders[members[0]], [obs for k in members for obs in decided[k][1]]
+        stack = stack_observations(views, [worlds[k] for k in members])
+        chosen = policy_mod.act(stack, decide.params, decide.rng, decide.mode)
+        bounds = np.cumsum([0] + [len(decided[k][0]) for k in members])
+        for k, start, stop in zip(members, bounds, bounds[1:]):
+            decided[k][2:] = (rows[start:stop] for rows in chosen)
+    for world, d in zip(worlds, decided):
+        d.append(airspace.step(world, dict(zip(d[0], d[2]))))
+    return decided
+
+
 def collect_rollouts(envs, params, horizon, rng):
     """Simulate ``horizon`` steps in every env, sampling actions from the policy.
 
@@ -202,14 +240,15 @@ def collect_rollouts(envs, params, horizon, rng):
     A step counts against the horizon only if some aircraft is aloft: an env
     with none (before the first spawn, or between spawns) is stepped with no
     actions until one spawns, so every counted step yields transitions.
-    A counted step is one stacked ``policy.act`` (rows in id order); bootstraps, one ``forward`` per env.
+    A counted step is one :func:`_decision_cycle` over the envs; a bootstrap, one ``forward``.
     Stored values and bootstraps are in reward units: the value head's
     normalized output de-normalized with the parameters' current statistics.
     """
     buffer = RolloutBuffer()
     open_tracks = {}
+    policy = PolicyAdvisories(params, "sample", rng)
     for _ in range(horizon):
-        for env_index, env in enumerate(envs):
+        for env in envs:
             # a world with no aircraft aloft makes no decision: fly it (not
             # jump its clock) to the next spawn, off the horizon's count
             while env.world.is_done() or not env.world.aircraft:
@@ -217,12 +256,9 @@ def collect_rollouts(envs, params, horizon, rng):
                     env.regenerate()
                 else:
                     airspace.step(env.world, {})
-            world = env.world
-            ids = sorted(world.active_ids())
-            observations = [featurize(world, aid) for aid in ids]
-            chosen = policy_mod.act(stack_observations(observations), params, rng, "sample")
-            result = airspace.step(world, dict(zip(ids, chosen[0])))
-            for aid, obs, advisory, log_prob, value in zip(ids, observations, *chosen):
+        decided = _decision_cycle([env.world for env in envs], [policy] * len(envs))
+        for env_index, (env, (ids, *chosen, result)) in enumerate(zip(envs, decided)):
+            for aid, obs, advisory, log_prob, value in zip(ids, *chosen):
                 key = (env_index, env.episode, aid)
                 track = open_tracks.get(key)
                 if track is None:
@@ -234,18 +270,14 @@ def collect_rollouts(envs, params, horizon, rng):
                 track.log_probs.append(log_prob)
                 track.values.append(value)
                 track.rewards.append(
-                    compute_reward(result.post_move, aid, result.events, env.reward_params, world.sector)
+                    compute_reward(result.post_move, aid, result.events, env.reward_params, env.world.sector)
                 )
                 done = aid in result.removals
                 track.dones.append(float(done))
                 if done:
                     del open_tracks[key]
-    for env_index, env in enumerate(envs):
-        tracks = {aid: track for (i, _, aid), track in open_tracks.items() if i == env_index}
-        if tracks:
-            stacked = stack_observations([featurize(env.world, aid) for aid in tracks])
-            for track, value in zip(tracks.values(), policy_mod.forward(stacked, params)[1]):
-                track.bootstrap_value = value
+    for (env_index, _, aid), track in open_tracks.items():
+        _, track.bootstrap_value = policy_mod.forward(featurize(envs[env_index].world, aid), params)
     return buffer
 
 

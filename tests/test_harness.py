@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import airsep
+from airsep import harness, ppo
+from airsep import policy as policy_module
 from airsep.airspace import (
     Advisory,
     AircraftStatus,
@@ -242,6 +244,60 @@ def test_sampled_evaluation_equals_per_agent_sampling():
         world = make_world("c", rng, n_aircraft=5)
         twins.append(run_episode(world, lambda aid, obs: act(obs, params, rng, "sample")[0]))
     assert result.episodes == twins
+
+
+# ten-second decisions: episodes of a few hundred steps
+COARSE_SECTOR = SectorParams(decision_interval=10.0)
+
+
+def _per_episode_evaluation(params, env_kind, n_episodes, seed, mode):
+    """``evaluate``'s episodes flown one by one, each agent deciding alone."""
+    metrics = []
+    for child in np.random.SeedSequence(seed).spawn(n_episodes):
+        rng = np.random.default_rng(child)
+        world = make_world(env_kind, rng, sector=COARSE_SECTOR)
+        fn = random_action_fn(rng) if mode == "random" else lambda aid, obs: act(obs, params, rng, mode)[0]
+        metrics.append(run_episode(world, fn))
+    return metrics
+
+
+@pytest.mark.parametrize("mode", ["greedy", "sample", "random"])
+@pytest.mark.parametrize("env_kind, n_episodes", [("c", 6), ("headon", 8)])
+def test_lockstep_evaluation_equals_episodes_flown_one_by_one(mode, env_kind, n_episodes):
+    params = _compact_policy(4)
+    result = evaluate(params, env_kind, n_episodes, seed=21, sector=COARSE_SECTOR, action_mode=mode)
+    assert result.episodes == _per_episode_evaluation(params, env_kind, n_episodes, 21, mode)
+    if env_kind == "c":  # 1-10 aircraft per world, so the episodes end at different steps
+        assert len({m.max_density for m in result.episodes}) > 2
+
+
+def test_greedy_lockstep_makes_one_act_per_intruder_count(monkeypatch):
+    real_cycle, real_act = ppo._decision_cycle, policy_module.act
+    cycles, calls = [], []
+
+    def counting_act(*args, **kwargs):
+        calls.append(1)
+        return real_act(*args, **kwargs)
+
+    def counting_cycle(worlds, deciders):
+        counts = {len(w.aircraft) for w in worlds if w.aircraft}
+        calls.clear()
+        decided = real_cycle(worlds, deciders)
+        cycles.append((len(calls), len(counts), len(worlds)))
+        return decided
+
+    monkeypatch.setattr(policy_module, "act", counting_act)
+    monkeypatch.setattr(ppo, "_decision_cycle", counting_cycle)
+    evaluate(_compact_policy(5), "c", n_episodes=6, seed=8, sector=COARSE_SECTOR)
+    assert cycles and all(n_calls <= n_counts for n_calls, n_counts, _ in cycles)
+    assert any(n_calls < n_worlds for n_calls, _, n_worlds in cycles)  # worlds shared a forward
+
+
+@pytest.mark.parametrize("mode", ["greedy", "sample"])
+def test_evaluate_without_parameters_fails_before_any_world(monkeypatch, mode):
+    monkeypatch.setattr(harness, "make_world", None)  # a world made would raise TypeError
+    with pytest.raises(ValueError, match="needs policy parameters"):
+        evaluate(None, "headon", n_episodes=1, seed=0, action_mode=mode)
 
 
 def test_evaluate_rejects_an_unknown_action_mode_before_any_episode():

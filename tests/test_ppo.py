@@ -208,12 +208,36 @@ def _collect_per_observation(envs, params, horizon, rng):
     return buffer
 
 
-def test_collect_equals_the_per_observation_loop_bit_for_bit():
+def test_collect_equals_the_per_observation_loop_bit_for_bit(monkeypatch):
     params = init_params(PolicyConfig(), np.random.default_rng(8))
     params.value_norm = ValueNormalizer(count=10, mean=-3.25, var=7.5)
     training = ScenarioSpec()
-    got = collect_rollouts(_make_envs(2, 17, training), params, horizon=800, rng=np.random.default_rng(6))
-    want = _collect_per_observation(_make_envs(2, 17, training), params, 800, np.random.default_rng(6))
+    real_cycle, real_act = ppo_module._decision_cycle, ppo_module.policy_mod.act
+    steps, calls = [], []
+
+    def counting_act(*args, **kwargs):
+        calls.append(1)
+        return real_act(*args, **kwargs)
+
+    def counting_cycle(worlds, deciders):
+        counts = [len(w.aircraft) for w in worlds]
+        calls.clear()
+        decided = real_cycle(worlds, deciders)
+        runs = 1 + sum(a != b for a, b in zip(counts, counts[1:]))
+        steps.append((len(calls), runs, counts))
+        return decided
+
+    monkeypatch.setattr(ppo_module.policy_mod, "act", counting_act)
+    monkeypatch.setattr(ppo_module, "_decision_cycle", counting_cycle)
+    got = collect_rollouts(_make_envs(3, 17, training), params, horizon=800, rng=np.random.default_rng(6))
+    monkeypatch.undo()
+    want = _collect_per_observation(_make_envs(3, 17, training), params, 800, np.random.default_rng(6))
+    # one act per run of consecutive envs with one intruder count. The steps seen include
+    # one run of all three envs, and envs 0 and 2 alike with env 1 between them, where
+    # grouping by count alone would draw env 2's rows before env 1's
+    assert len(steps) == 800 and all(n_calls == runs for n_calls, runs, _ in steps)
+    assert {runs for _, runs, _ in steps} >= {1, 2, 3}
+    assert any(c[0] == c[2] != c[1] for _, _, c in steps)
     assert len(got) == len(want) > 0
     assert len(got.tracks) == len(want.tracks)
     assert max(obs.n_intruders for t in got.tracks for obs in t.observations) >= 2
