@@ -1,10 +1,12 @@
-"""YAML configuration files for training runs.
+"""YAML configuration files for training runs, and the type rule for config and checkpoint values.
 
 Config files speak aviation units (NM, kt, ft, minutes); everything is
 converted to SI here, at the boundary. Unknown keys are rejected so typos
 fail loudly instead of silently running defaults.
 """
 
+import numbers
+import types
 from dataclasses import fields
 
 import yaml
@@ -27,54 +29,74 @@ _SECTOR_FIELDS = {
     "arrival_capture_radius_m": ("arrival_capture_radius", 1.0),
     "timeout_buffer_min": ("timeout_buffer", 60.0),
 }
+_NUMBERS = {int: numbers.Integral, float: numbers.Real}  # what these annotations admit, bools excepted
 
 
-def _reject_unknown(mapping, allowed, where):
-    unknown = set(mapping) - set(allowed)
-    if unknown:
+def _section(mapping, allowed, where):
+    """``mapping`` (``None`` reads as empty) once it is a mapping with no key outside ``allowed``."""
+    mapping = {} if mapping is None else mapping
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where} must be a mapping, got {mapping!r}")
+    if unknown := set(mapping) - set(allowed):
         raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+    return mapping
 
 
-def _from_fields(cls, mapping, where):
-    """``cls`` from a section keyed by its field names (missing keys take defaults);
-    a value the class rejects raises ValueError naming the section."""
-    mapping = mapping or {}
-    _reject_unknown(mapping, [f.name for f in fields(cls)], where)
+def _fits(value, kind):
+    if isinstance(kind, types.UnionType):
+        return any(_fits(value, k) for k in kind.__args__)
+    return isinstance(value, _NUMBERS.get(kind, kind)) and (kind is bool or not isinstance(value, bool))
+
+
+def _checked_fields(cls, mapping, where, keys=None):
+    """``mapping`` once each key names a field of dataclass ``cls`` (through ``keys``,
+    key -> field name, when given) and each value has the type the field's annotation
+    names: ``int`` a non-bool integer, ``float`` a non-bool real, ``bool`` a bool,
+    ``X | None`` also ``None``. Nothing is coerced; ValueError names ``where``."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    keys = keys or {name: name for name in kinds}
+    mapping = _section(mapping, keys, where)
+    for key, value in mapping.items():
+        if not _fits(value, kind := kinds[keys[key]]):
+            kind = getattr(kind, "__name__", kind)
+            raise ValueError(f"bad value in {where}: {key} must be {kind}, got {value!r}")
+    return mapping
+
+
+def from_fields(cls, mapping, where):
+    """``cls`` from a config section or checkpoint block keyed by its field names (missing
+    keys take defaults); a value of the wrong type or out of range raises ValueError naming it."""
+    mapping = _checked_fields(cls, mapping, where)
     try:
         return cls(**mapping)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad value in {where}: {exc}") from exc
 
 
 def sector_from_config(mapping):
     """SectorParams from aviation-unit keys (missing keys take defaults)."""
-    mapping = mapping or {}
-    _reject_unknown(mapping, _SECTOR_FIELDS, "sector")
-    kwargs = {}
-    for key, value in mapping.items():
-        name, factor = _SECTOR_FIELDS[key]
-        kwargs[name] = float(value) * factor
-    return SectorParams(**kwargs)
+    keys = {key: name for key, (name, _) in _SECTOR_FIELDS.items()}
+    mapping = _checked_fields(SectorParams, mapping, "sector", keys)
+    return SectorParams(**{keys[key]: value * _SECTOR_FIELDS[key][1] for key, value in mapping.items()})
 
 
 def scenario_from_config(mapping):
-    mapping = mapping or {}
-    _reject_unknown(mapping, ("env", "sector", "n_aircraft"), "scenario")
+    mapping = _section(mapping, ("env", "sector", "n_aircraft"), "scenario")
     env = EnvKind(mapping.get("env", "training"))
     sector = sector_from_config(mapping.get("sector"))
     spec = {"env_kind": env, "sector": sector, "n_aircraft": mapping.get("n_aircraft")}
-    return _from_fields(ScenarioSpec, spec, "scenario")
+    return from_fields(ScenarioSpec, spec, "scenario")
 
 
 def training_config_from_dict(mapping):
     allowed = ("seed", "scenario", "network", "reward", "ppo", "checkpoint_every", "init_checkpoint")
-    _reject_unknown(mapping, allowed, "training config")
+    mapping = _section(mapping, allowed, "training config")
     top = {key: mapping[key] for key in ("seed", "checkpoint_every", "init_checkpoint") if key in mapping}
-    return _from_fields(TrainConfig, dict(
+    return from_fields(TrainConfig, dict(
         top,
-        hyper=_from_fields(HyperParams, mapping.get("ppo"), "ppo"),
-        network=_from_fields(PolicyConfig, mapping.get("network"), "network"),
-        reward=_from_fields(RewardParams, mapping.get("reward"), "reward"),
+        hyper=from_fields(HyperParams, mapping.get("ppo"), "ppo"),
+        network=from_fields(PolicyConfig, mapping.get("network"), "network"),
+        reward=from_fields(RewardParams, mapping.get("reward"), "reward"),
         scenario=scenario_from_config(mapping.get("scenario")),
     ), "training config")
 
@@ -83,4 +105,3 @@ def load_training_config(path):
     with open(path) as fh:
         mapping = yaml.safe_load(fh) or {}
     return training_config_from_dict(mapping)
-

@@ -394,10 +394,7 @@ def _cmd_train(args):
 def _load_for_episodes(path):
     """A checkpoint's parameters and the sector it was trained in (defaults when it names none)."""
     params, meta = policy_mod.load_policy(path)
-    try:
-        return params, SectorParams(**meta.get("sector_si", {}))
-    except TypeError as exc:
-        raise ValueError(f"checkpoint sector_si does not fit the sector: {exc}") from exc
+    return params, config_mod.from_fields(SectorParams, meta.get("sector_si"), "checkpoint sector_si")
 
 
 def _cmd_eval(args):

@@ -25,12 +25,11 @@ around :func:`numerics.mha_core`; field order fixes the checkpoint names.
 """
 
 import math
-import operator
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import numerics as nm
+from . import config as config_mod, numerics as nm
 from .airspace import INTRUDER_FEATURES, Advisory
 from .numerics import ConfigError, Tensor
 
@@ -51,14 +50,10 @@ class PolicyConfig:
     layers: int = 1
 
     def __post_init__(self):
-        if min(map(operator.index, (self.d_emb, self.d_ff, self.heads, self.layers))) < 1:
+        if min(self.d_emb, self.d_ff, self.heads, self.layers) < 1:
             raise ConfigError("all network dimensions must be >= 1")
         if self.d_emb % self.heads != 0:
             raise ConfigError(f"d_emb {self.d_emb} not divisible by heads {self.heads}")
-
-    @property
-    def head_dim(self):
-        return self.d_emb // self.heads
 
 
 @dataclass
@@ -364,11 +359,10 @@ def load_policy(path):
     ones; network or statistics metadata that does not fit raises ValueError.
     """
     arrays, meta = nm.load_checkpoint(path)
-    try:
-        config = PolicyConfig(**meta["network"])
-        value_norm = ValueNormalizer(**meta.get("value_normalization", {}))
-    except TypeError as exc:
-        raise ValueError(f"bad checkpoint metadata: {exc}") from exc
+    config = config_mod.from_fields(PolicyConfig, meta["network"], "checkpoint network")
+    value_norm = config_mod.from_fields(
+        ValueNormalizer, meta.get("value_normalization"), "checkpoint value_normalization"
+    )
     params = init_params(config, np.random.default_rng(0))
     named = params.named_parameters()
     missing = set(named) - set(arrays)

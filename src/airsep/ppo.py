@@ -19,9 +19,7 @@ values and the truncation bootstrap) are de-normalized to reward units.
 
 import csv
 import math
-import numbers
-import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,16 +30,6 @@ from .featurize import featurize, stack_observations
 from .numerics import Tensor
 from .policy import PolicyConfig, forward_batch, init_params
 from .reward import RewardParams, compute_reward
-
-STATS_HEADER = (
-    "update",
-    "mean_lambda_return",
-    "mean_entropy",
-    "policy_loss",
-    "value_loss",
-    "clip_fraction",
-    "grad_norm",
-)
 
 
 @dataclass(frozen=True)
@@ -66,14 +54,8 @@ class HyperParams:
             raise ValueError("gamma and gae_lambda must lie in [0, 1]")
         if self.clip_eps <= 0.0:
             raise ValueError("clip_eps must be positive")
-        counts = (self.updates, self.n_envs, self.horizon, self.batch_size, self.epochs)
-        if min(map(operator.index, counts)) < 1:
+        if min(self.updates, self.n_envs, self.horizon, self.batch_size, self.epochs) < 1:
             raise ValueError("counts must be >= 1")
-        reals = (self.learning_rate, self.entropy_coef, self.vf_coef, self.max_grad_norm)
-        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in reals):
-            raise TypeError("learning_rate, entropy_coef, vf_coef and max_grad_norm must be numbers")
-        if not all(isinstance(x, bool) for x in (self.advantage_normalization, self.value_clipping)):
-            raise TypeError("advantage_normalization and value_clipping must be true or false")
 
 
 @dataclass(frozen=True)
@@ -85,8 +67,8 @@ class ScenarioSpec:
     n_aircraft: int | None = None
 
     def __post_init__(self):
-        if self.n_aircraft is not None:
-            operator.index(self.n_aircraft)
+        if self.n_aircraft is not None and self.n_aircraft < 1:
+            raise ValueError("n_aircraft must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -100,25 +82,28 @@ class TrainConfig:
     init_checkpoint: str | None = None
 
     def __post_init__(self):
-        operator.index(self.seed)
-        if isinstance(self.seed, bool) or operator.index(self.checkpoint_every) < 0:
-            raise ValueError("seed must be an integer and checkpoint_every an integer >= 0")
+        if self.seed < 0 or self.checkpoint_every < 0:
+            raise ValueError("seed and checkpoint_every must be >= 0")
 
 
 @dataclass
 class TrainStats:
+    """One ``training_stats.csv`` row; the field names, in order, are its header."""
+
     update: int
     mean_lambda_return: float
     mean_entropy: float
     policy_loss: float
     value_loss: float
-    total_loss: float
     clip_fraction: float
     grad_norm: float
 
     def csv_row(self):
         """The ``STATS_HEADER`` columns; floats as ``repr`` so the file round-trips exactly."""
         return [self.update] + [repr(getattr(self, name)) for name in STATS_HEADER[1:]]
+
+
+STATS_HEADER = tuple(f.name for f in fields(TrainStats))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +404,7 @@ def ppo_update(params, buffer, hparams, rng, optimizer):
     ownship, intruders, counts = policy_mod.pad_observations(obs_list)
     tensors = params.tensors()
 
-    pol_hist, val_hist, tot_hist, ent_hist, clip_hist, norm_hist = [], [], [], [], [], []
+    pol_hist, val_hist, ent_hist, clip_hist, norm_hist = [], [], [], [], []
     for _ in range(hparams.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, hparams.batch_size):
@@ -438,7 +423,6 @@ def ppo_update(params, buffer, hparams, rng, optimizer):
             optimizer.step()
             pol_hist.append(float(policy_loss.data))
             val_hist.append(float(value_loss.data))
-            tot_hist.append(float(total.data))
             ent_hist.append(float(entropy.data))
             clip_hist.append(float(np.mean(np.abs(ratio.data - 1.0) > hparams.clip_eps)))
 
@@ -448,7 +432,6 @@ def ppo_update(params, buffer, hparams, rng, optimizer):
         mean_entropy=float(np.mean(ent_hist)),
         policy_loss=float(np.mean(pol_hist)),
         value_loss=float(np.mean(val_hist)),
-        total_loss=float(np.mean(tot_hist)),
         clip_fraction=float(np.mean(clip_hist)),
         grad_norm=float(np.mean(norm_hist)),
     )

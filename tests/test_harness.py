@@ -3,10 +3,12 @@
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import airsep
 from airsep import harness, ppo
@@ -20,6 +22,7 @@ from airsep.airspace import (
     make_custom_world,
     make_world,
 )
+from airsep.config import _SECTOR_FIELDS, load_training_config
 from airsep.harness import (
     EpisodeMetrics,
     cli,
@@ -32,6 +35,7 @@ from airsep.harness import (
 )
 from airsep.numerics import save_checkpoint
 from airsep.policy import PolicyConfig, ValueNormalizer, act, init_params, save_policy
+from airsep.reward import RewardParams
 
 # round-number SI sector so every scripted quantity below is exact in floats
 SCRIPT_SECTOR = SectorParams(
@@ -403,9 +407,12 @@ def _assert_clean_error(code, capsys, fragment):
         ("ppo: {horizon: 2.5}", "bad value in ppo"),
         ("ppo: {learning_rate: 3e-4}", "bad value in ppo"),
         ('ppo: {value_clipping: "false"}', "bad value in ppo"),
+        ("ppo: 5", "ppo must be a mapping"),
+        ("scenario: {sector: 30}", "sector must be a mapping"),
     ],
     ids=["horizon_not_a_number", "d_emb_not_a_number", "horizon_not_an_integer",
-         "learning_rate_read_as_a_string", "value_clipping_a_string"],
+         "learning_rate_read_as_a_string", "value_clipping_a_string", "ppo_not_a_mapping",
+         "sector_not_a_mapping"],
 )
 def test_cli_train_rejects_values_of_the_wrong_type(tmp_path, capsys, section, fragment):
     config = tmp_path / "bad.yaml"
@@ -422,8 +429,11 @@ def test_cli_train_rejects_values_of_the_wrong_type(tmp_path, capsys, section, f
         ("seed: true", "bad value in training config"),
         ("checkpoint_every: -3", "bad value in training config"),
         ("scenario: {env: training, n_aircraft: 2.5}", "bad value in scenario"),
+        ("seed: -1", "bad value in training config"),
+        ("scenario: {env: c, n_aircraft: 0}", "bad value in scenario"),
     ],
-    ids=["seed_not_an_integer", "seed_a_bool", "checkpoint_every_negative", "n_aircraft_not_an_integer"],
+    ids=["seed_not_an_integer", "seed_a_bool", "checkpoint_every_negative", "n_aircraft_not_an_integer",
+         "seed_negative", "n_aircraft_zero"],
 )
 def test_cli_train_rejects_values_it_would_coerce(tmp_path, capsys, text, fragment):
     config = tmp_path / "bad.yaml"
@@ -434,6 +444,89 @@ def test_cli_train_rejects_values_it_would_coerce(tmp_path, capsys, text, fragme
     code = cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
     _assert_clean_error(code, capsys, fragment)
     assert not (tmp_path / "run").exists()
+
+
+#: YAML section of each config dataclass (None: the top level)
+_SECTIONS = {
+    ppo.HyperParams: "ppo",
+    PolicyConfig: "network",
+    RewardParams: "reward",
+    ppo.TrainConfig: None,
+    ppo.ScenarioSpec: "scenario",
+}
+
+
+def _yaml_fields(*kinds):
+    """(section, key) of every config field whose annotation admits one of ``kinds``."""
+    return [
+        (section, f.name)
+        for cls, section in _SECTIONS.items()
+        for f in fields(cls)
+        if set(kinds) & {f.type, *getattr(f.type, "__args__", ())}
+    ]
+
+
+def _tiny_with(section, key, value):
+    """A one-update training config at a small width, with one value set (section None: top level)."""
+    mapping = {
+        "network": {"d_emb": 16, "d_ff": 32, "heads": 4, "layers": 1},
+        "ppo": {"updates": 1, "n_envs": 1, "horizon": 8, "batch_size": 8, "epochs": 1},
+        "scenario": {"env": "headon"},
+    }
+    (mapping if section is None else mapping.setdefault(section, {}))[key] = value
+    return mapping
+
+
+def _wrong_type_cases():
+    """``true`` in every int or float field, and ``"30"`` in every sector key."""
+    numeric = [
+        pytest.param(section or "training config", _tiny_with(section, key, True),
+                     id=f"{section or 'top'}.{key}")
+        for section, key in _yaml_fields(int, float)
+    ]
+    sector = [
+        pytest.param("sector", _tiny_with("scenario", "sector", {key: "30"}), id=f"sector.{key}")
+        for key in _SECTOR_FIELDS
+    ]
+    return numeric + sector
+
+
+@pytest.mark.parametrize("section, mapping", _wrong_type_cases())
+def test_cli_train_rejects_a_bool_number_and_a_string_sector_value(tmp_path, capsys, section, mapping):
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(mapping))
+    code = cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    _assert_clean_error(code, capsys, f"error: bad value in {section}")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section, key", _yaml_fields(bool))
+@pytest.mark.parametrize("value", [True, False])
+def test_bool_fields_take_true_and_false(tmp_path, section, key, value):
+    config = tmp_path / "flags.yaml"
+    config.write_text(yaml.safe_dump(_tiny_with(section, key, value)))
+    cfg = load_training_config(config)
+    owner = {"ppo": cfg.hyper, "network": cfg.network, "reward": cfg.reward, "scenario": cfg.scenario}
+    assert getattr(owner.get(section, cfg), key) is value
+
+
+@pytest.mark.parametrize("command", [["eval", "--episodes", "1"], ["rollout-dump"]], ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    "block, key, value",
+    [("network", "layers", True), ("value_normalization", "mean", "x"), ("sector_si", "lookahead", True)],
+)
+def test_cli_rejects_checkpoint_metadata_of_the_wrong_type(tmp_path, capsys, command, block, key, value):
+    params = init_params(PolicyConfig(d_emb=16, d_ff=32, heads=4, layers=1), np.random.default_rng(1))
+    meta = {
+        "network": asdict(params.config),
+        "value_normalization": asdict(params.value_norm),
+        "sector_si": asdict(SectorParams()),
+    }
+    meta[block][key] = value
+    ckpt = save_checkpoint(tmp_path / "odd", params.named_parameters(), meta)
+    code = cli([*command, "--checkpoint", str(ckpt), "--case", "headon", "--out", str(tmp_path / "out")])
+    _assert_clean_error(code, capsys, f"bad value in checkpoint {block}: {key}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_python_dash_m_airsep_runs_the_cli_without_a_warning(tmp_path):

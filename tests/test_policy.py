@@ -46,7 +46,6 @@ def _obs(rng, n_intruders):
 
 
 def test_config_validation():
-    assert PolicyConfig().head_dim == 8  # 128 / 16
     with pytest.raises(ConfigError):
         PolicyConfig(d_emb=10, heads=4)
 

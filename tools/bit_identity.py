@@ -10,6 +10,8 @@ Run it once against each side of a change and diff the two outputs:
 checkout's ``configs/`` (or ``--configs``). BLAS threads are pinned to 1.
 Each line is ``<gate> <sha256>``:
 
+* every shipped config (``configs/*.yaml``): the ``repr`` of the
+  ``TrainConfig`` that ``load_training_config`` reads from it;
 * ``smoke_headon.yaml`` cut to 3 updates and ``paper_scale.yaml`` cut to
   2 updates x 2 envs x 300 steps, both at seed 5: ``training_stats.csv`` and
   the trained parameter bytes;
@@ -52,6 +54,11 @@ def sha(data):
 
 def parameter_bytes(params):
     return b"".join(name.encode() + t.data.tobytes() for name, t in params.named_parameters().items())
+
+
+def config_gates(configs):
+    for path in sorted(configs.glob("*.yaml")):
+        yield f"config.{path.stem}", sha(repr(config.load_training_config(path)).encode())
 
 
 def training_gates(configs, work):
@@ -103,7 +110,12 @@ def main():
         work = Path(tmp)
         checkpoint = args.checkpoint or fixed_checkpoint(work)
         print("checkpoint", sha(Path(checkpoint).read_bytes()), flush=True)
-        gates = (training_gates(args.configs, work), evaluate_gates(checkpoint), cli_gates(checkpoint, work))
+        gates = (
+            config_gates(args.configs),
+            training_gates(args.configs, work),
+            evaluate_gates(checkpoint),
+            cli_gates(checkpoint, work),
+        )
         for gate, digest in (pair for group in gates for pair in group):
             print(gate, digest, flush=True)
 
