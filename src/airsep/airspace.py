@@ -12,7 +12,7 @@ import csv
 import enum
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -84,6 +84,8 @@ class SectorParams:
     timeout_buffer: float = 20.0 * 60.0
 
     def __post_init__(self):
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise ValueError("every sector value must be finite")
         if not (self.r_nmac < self.r_pz < self.sector_radius):
             raise ValueError("require r_nmac < r_pz < sector_radius")
         if self.v_min != 0.0 or self.v_max < self.v_min:
@@ -92,6 +94,8 @@ class SectorParams:
             raise ValueError("speed_increment must be positive")
         if self.decision_interval <= 0.0 or self.lookahead <= 0.0:
             raise ValueError("decision_interval and lookahead must be positive")
+        if self.arrival_capture_radius < 0.0 or self.timeout_buffer < 0.0:
+            raise ValueError("arrival_capture_radius and timeout_buffer must be >= 0")
 
 
 class Route:

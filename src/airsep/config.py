@@ -63,21 +63,26 @@ def _checked_fields(cls, mapping, where, keys=None):
     return mapping
 
 
+def _built(cls, values, where):
+    """``cls(**values)``; its range checks' ValueError gains the prefix ``bad value in <where>``."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"bad value in {where}: {exc}") from exc
+
+
 def from_fields(cls, mapping, where):
     """``cls`` from a config section or checkpoint block keyed by its field names (missing
     keys take defaults); a value of the wrong type or out of range raises ValueError naming it."""
-    mapping = _checked_fields(cls, mapping, where)
-    try:
-        return cls(**mapping)
-    except ValueError as exc:
-        raise ValueError(f"bad value in {where}: {exc}") from exc
+    return _built(cls, _checked_fields(cls, mapping, where), where)
 
 
 def sector_from_config(mapping):
     """SectorParams from aviation-unit keys (missing keys take defaults)."""
     keys = {key: name for key, (name, _) in _SECTOR_FIELDS.items()}
     mapping = _checked_fields(SectorParams, mapping, "sector", keys)
-    return SectorParams(**{keys[key]: value * _SECTOR_FIELDS[key][1] for key, value in mapping.items()})
+    si = {keys[key]: value * _SECTOR_FIELDS[key][1] for key, value in mapping.items()}
+    return _built(SectorParams, si, "sector")
 
 
 def scenario_from_config(mapping):

@@ -11,14 +11,41 @@ raises at the op that made the value.
 The tape is acyclic (output -> node -> inputs, never back), so reference
 counting frees a dead graph. Gradients are read-only: leaves may share one
 array, so code that rescales a gradient assigns a new one.
+
+GELU's erf is scipy's compiled ufunc, the very object ``scipy.special.erf``
+names, so every bit matches scipy. It is loaded from its extension module
+alone, because importing the ``scipy.special`` package also runs its
+array-API layer (``numpy.f2py``, ``numpy.testing``, ``numpy.ma``: about 280
+modules), which more than doubles ``import airsep``'s time and adds ~18 MB
+of memory for one ufunc. ``math.erf`` and a numpy port of cephes' erf differ
+from scipy's in the last bit.
 """
 
+import importlib.machinery
+import importlib.util
 import json
 import math
 import os
 
 import numpy as np
-from scipy.special import erf
+
+
+def _load_erf():
+    """scipy's erf ufunc, loaded from ``scipy/special/_special_ufuncs`` with no scipy package imported."""
+    name = "scipy.special._special_ufuncs"
+    scipy = importlib.util.find_spec("scipy")  # locates scipy without importing it
+    for folder in scipy.submodule_search_locations if scipy else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "special", "_special_ufuncs" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(module)
+                return module.erf
+    raise ImportError(f"airsep needs scipy>=1.17.1: GELU's erf comes from its extension module {name}")
+
+
+erf = _load_erf()
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)

@@ -52,8 +52,11 @@ class HyperParams:
     def __post_init__(self):
         if not (0.0 <= self.gamma <= 1.0 and 0.0 <= self.gae_lambda <= 1.0):
             raise ValueError("gamma and gae_lambda must lie in [0, 1]")
-        if self.clip_eps <= 0.0:
-            raise ValueError("clip_eps must be positive")
+        # written so that NaN fails them
+        if not (0.0 < self.clip_eps < math.inf and 0.0 < self.max_grad_norm < math.inf):
+            raise ValueError("clip_eps and max_grad_norm must be finite and > 0")
+        if not all(0.0 <= rate < math.inf for rate in (self.learning_rate, self.entropy_coef, self.vf_coef)):
+            raise ValueError("learning_rate, entropy_coef and vf_coef must be finite and >= 0")
         if min(self.updates, self.n_envs, self.horizon, self.batch_size, self.epochs) < 1:
             raise ValueError("counts must be >= 1")
 

@@ -4,6 +4,7 @@ Exactly one branch fires per agent per step. With the default unit weights the
 per-step reward lies in [-2, 1] except for the -100 NMAC case.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 from .airspace import EventKind, separation
@@ -18,8 +19,8 @@ class RewardParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0.0:
-                raise ValueError(f"{f.name} must be positive")
+            if not 0.0 < getattr(self, f.name) < math.inf:  # NaN fails too
+                raise ValueError(f"{f.name} must be finite and positive")
 
 
 def _clip01(x):

@@ -500,6 +500,49 @@ def test_cli_train_rejects_a_bool_number_and_a_string_sector_value(tmp_path, cap
     assert not (tmp_path / "run").exists()
 
 
+def _out_of_range_cases():
+    """NaN and +inf in every float field and sector key, and each rate, coefficient,
+    reward weight and sector buffer below its lower bound."""
+    cases = [
+        pytest.param(section, _tiny_with(section, key, value), id=f"{section}.{key}={value}")
+        for section, key in _yaml_fields(float)
+        for value in (float("nan"), float("inf"))
+    ]
+    cases += [
+        pytest.param("sector", _tiny_with("scenario", "sector", {key: value}), id=f"sector.{key}={value}")
+        for key in _SECTOR_FIELDS
+        for value in (float("nan"), float("inf"))
+    ]
+    below = [
+        ("ppo", "learning_rate", -1.0), ("ppo", "entropy_coef", -0.5), ("ppo", "vf_coef", -2.0),
+        ("ppo", "max_grad_norm", -1.0), ("ppo", "max_grad_norm", 0.0), ("ppo", "clip_eps", -0.2),
+        ("reward", "alpha_v", -1.0), ("reward", "alpha_los", 0.0),
+    ]
+    cases += [pytest.param(section, _tiny_with(section, key, value), id=f"{section}.{key}={value}")
+              for section, key, value in below]
+    cases += [
+        pytest.param("sector", _tiny_with("scenario", "sector", {key: -1.0}), id=f"sector.{key}=-1.0")
+        for key in ("arrival_capture_radius_m", "timeout_buffer_min")
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("section, mapping", _out_of_range_cases())
+def test_cli_train_rejects_non_finite_and_out_of_range_values(tmp_path, capsys, section, mapping):
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(mapping))
+    code = cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    _assert_clean_error(code, capsys, f"error: bad value in {section}")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key", ["learning_rate", "entropy_coef", "vf_coef"])
+def test_zero_rate_and_loss_coefficients_load(tmp_path, key):
+    config = tmp_path / "zero.yaml"
+    config.write_text(yaml.safe_dump(_tiny_with("ppo", key, 0.0)))
+    assert getattr(load_training_config(config).hyper, key) == 0.0
+
+
 @pytest.mark.parametrize("section, key", _yaml_fields(bool))
 @pytest.mark.parametrize("value", [True, False])
 def test_bool_fields_take_true_and_false(tmp_path, section, key, value):

@@ -1,6 +1,12 @@
 """Tensor-core oracles: op examples, backward semantics, finite-difference checks."""
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +99,69 @@ def test_gelu_at_one_vs_erf_series():
     expected = 1.0 * phi_1  # 0.8413447...
     assert abs(expected - 0.8413447) < 1e-7
     assert abs(nm.gelu(Tensor(1.0)).item() - expected) < 1e-12
+
+
+def _fresh_python(*args, cwd):
+    """Run ``python *args`` in a new interpreter that imports airsep from this checkout."""
+    src = str(Path(nm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_airsep_leaves_scipy_special_and_f2py_unloaded(tmp_path):
+    code = "import sys, airsep; print([m for m in ('scipy.special', 'numpy.f2py') if m in sys.modules])"
+    assert _fresh_python("-c", code, cwd=tmp_path).strip() == "[]"
+
+
+def test_erf_is_scipy_special_erf():
+    import scipy.special
+
+    assert nm.erf is scipy.special.erf
+
+
+@pytest.mark.parametrize("where", ["no_scipy", "no_extension_file"])
+def test_erf_loader_names_the_scipy_it_needs(monkeypatch, where):
+    if where == "no_scipy":
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    else:
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".absent.so"])
+    with pytest.raises(ImportError, match=r"scipy>=1\.17\.1"):
+        nm._load_erf()
+
+
+_GELU_FRESH = """
+import sys
+import numpy as np
+from airsep import numerics as nm
+t = nm.Tensor(np.load(sys.argv[1]), requires_grad=True)
+y = nm.gelu(t)
+with np.errstate(over="ignore"):  # numpy's x * x overflows past |x| ~ 1.3e154; erf is not called here
+    nm.backward(nm.tsum(y))
+assert "scipy.special" not in sys.modules
+np.save(sys.argv[2], np.stack([y.data, t.grad]))
+"""
+
+
+def test_gelu_edge_values_match_scipy_special_erf_without_it_imported(tmp_path):
+    # x / sqrt(2) at zero, subnormal, +-1 and 1 + ulp, the middle of erf's range, and
+    # past erfc's underflow (|z| > 26.55), where scipy's error handling is not set up
+    # unless scipy.special was imported; -W error turns any warning into a failure
+    z = np.array([0.0, -0.0, 1e-310, 1.0, -1.0, np.nextafter(1.0, 2.0), 8.0, -8.0, 26.5, -26.5,
+                  27.0, -27.0, 40.0, -40.0, 1e300, -1e300])
+    x = z * nm.SQRT2
+    np.save(tmp_path / "x.npy", x)
+    _fresh_python("-W", "error", "-c", _GELU_FRESH, "x.npy", "out.npy", cwd=tmp_path)
+    forward, grad = np.load(tmp_path / "out.npy")
+
+    from scipy.special import erf
+
+    cdf = 0.5 * (1.0 + erf(x / nm.SQRT2))
+    with np.errstate(over="ignore"):
+        expected_grad = 1.0 * (cdf + x * (nm.INV_SQRT_2PI * np.exp(-0.5 * x * x)))
+    assert forward.tobytes() == (x * cdf).tobytes()
+    assert grad.tobytes() == expected_grad.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ Run it once against each side of a change and diff the two outputs:
 checkout's ``configs/`` (or ``--configs``). BLAS threads are pinned to 1.
 Each line is ``<gate> <sha256>``:
 
+* ``numerics.gelu`` forward and backward (unit upstream gradient) on a
+  fixed grid of 1 M points over [-12, 12];
 * every shipped config (``configs/*.yaml``): the ``repr`` of the
   ``TrainConfig`` that ``load_training_config`` reads from it;
 * ``smoke_headon.yaml`` cut to 3 updates and ``paper_scale.yaml`` cut to
@@ -39,7 +41,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from airsep import config, harness, policy, ppo  # noqa: E402
+from airsep import config, harness, numerics as nm, policy, ppo  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 TRAINING_CUTS = {
@@ -54,6 +56,13 @@ def sha(data):
 
 def parameter_bytes(params):
     return b"".join(name.encode() + t.data.tobytes() for name, t in params.named_parameters().items())
+
+
+def gelu_gates():
+    x = nm.Tensor(np.linspace(-12.0, 12.0, 1_000_000), requires_grad=True)
+    y = nm.gelu(x)
+    nm.backward(nm.tsum(y))
+    yield "numerics.gelu", sha(y.data.tobytes() + x.grad.tobytes())
 
 
 def config_gates(configs):
@@ -111,6 +120,7 @@ def main():
         checkpoint = args.checkpoint or fixed_checkpoint(work)
         print("checkpoint", sha(Path(checkpoint).read_bytes()), flush=True)
         gates = (
+            gelu_gates(),
             config_gates(args.configs),
             training_gates(args.configs, work),
             evaluate_gates(checkpoint),
