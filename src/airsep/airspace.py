@@ -11,6 +11,7 @@ import bisect
 import csv
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
@@ -548,57 +549,18 @@ def generate_training_sector(rng, sector=None):
     raise ScenarioError(f"no admissible endpoints after {ENDPOINT_RESAMPLE_CAP} draws")
 
 
-def _case_a_routes(sector):
-    # three boundary entries merging at the center, sharing one outbound leg
+def _merge_routes(sector, crossing):
+    """Three boundary entries merging at the center onto one shared outbound leg (case A);
+    with ``crossing`` (case B), also a perpendicular route through that leg's midpoint."""
     r = sector.sector_radius
     merge = np.array([0.0, 0.0])
     exit_point = _boundary_point(r, 0.0)
-    entries = [_boundary_point(r, math.radians(b)) for b in (150.0, 180.0, 210.0)]
-    return [Route([e, merge, exit_point]) for e in entries]
-
-
-def _case_b_routes(sector):
-    routes = _case_a_routes(sector)
-    r = sector.sector_radius
-    # perpendicular crossing through the midpoint of the shared outbound leg
-    x = r / 2.0
-    y = math.sqrt(r * r - x * x)
-    routes.append(Route([np.array([x, -y]), np.array([x, y])]))
+    routes = [Route([_boundary_point(r, math.radians(b)), merge, exit_point]) for b in (150.0, 180.0, 210.0)]
+    if crossing:
+        x = r / 2.0
+        y = math.sqrt(r * r - x * x)
+        routes.append(Route([np.array([x, -y]), np.array([x, y])]))
     return routes
-
-
-def generate_case(case, rng, sector=None, n_aircraft=None, rotation=None):
-    """Evaluation-scenario routes.
-
-    Case A: three routes merging at the sector center onto one shared outbound
-    leg. Case B: case A plus a perpendicular route crossing the outbound leg at
-    its midpoint (a four-way intersection). Both are rotated rigidly, by
-    ``rotation`` if given, otherwise by an angle drawn uniformly from a full
-    turn. Case C: one independent route per aircraft, endpoints uniform on the
-    boundary circle with one interior waypoint uniform in the disk.
-    """
-    sector = sector or SectorParams()
-    case = EnvKind(case)
-    if case in (EnvKind.CASE_A, EnvKind.CASE_B):
-        routes = _case_a_routes(sector) if case is EnvKind.CASE_A else _case_b_routes(sector)
-        angle = rng.uniform(0.0, 2.0 * math.pi) if rotation is None else float(rotation)
-        return rotate_routes(routes, angle)
-    if case is EnvKind.CASE_C:
-        if n_aircraft is None or n_aircraft < 1:
-            raise ValueError("case c needs n_aircraft >= 1")
-        routes = []
-        for _ in range(n_aircraft):
-            b1, b2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-            mid = _uniform_disk_point(rng, sector.sector_radius)
-            routes.append(
-                Route([
-                    _boundary_point(sector.sector_radius, b1),
-                    mid,
-                    _boundary_point(sector.sector_radius, b2),
-                ])
-            )
-        return routes
-    raise ValueError(f"unknown evaluation case {case!r}")
 
 
 def head_on_routes():
@@ -610,7 +572,7 @@ def head_on_routes():
 
 
 # ---------------------------------------------------------------------------
-# spawn schedules and world assembly
+# world assembly
 # ---------------------------------------------------------------------------
 
 _SPEED_RANGE_KT = (60.0, 120.0)
@@ -618,85 +580,79 @@ _FIXED_SPEED_KT = 110.0
 _SPACING_RANGE = (60.0, 1200.0)
 
 
-def build_spawn_schedule(rng, env_kind, routes, n_aircraft=None):
-    """Time-ordered pending spawns for one episode.
+def aircraft_count(env_kind, n_aircraft):
+    """``n_aircraft`` as an int once ``env_kind`` admits it, else ValueError.
 
-    Aircraft count defaults to U{1..20}, and is 2 for the head-on scenario.
-    Case C spawns one aircraft on each route, so its count is the route count
-    (U{1..10} by default, drawn by :func:`make_world`). Desired speeds are
-    U(60, 120) kt for training and case C and fixed 110 kt for cases A/B.
-    Consecutive spawns sharing a route origin are spaced by independent
-    U(60, 1200) s draws, anchored at time zero. The head-on scenario spawns
-    one aircraft per route at 110 kt, the second delayed by a small jitter.
+    The count is ``None`` (the kind's default) or an integer >= 1; ``headon``
+    always flies two and admits only ``None``.
     """
-    env_kind = EnvKind(env_kind)
-
-    if env_kind is EnvKind.HEAD_ON:
-        if len(routes) != 2:
-            raise ScenarioError("head-on scenario expects exactly two routes")
-        jitter = rng.uniform(0.0, HEAD_ON_JITTER)
-        return [
-            PendingSpawn(time=0.0, aircraft_id="AC000", route_index=0, v_des=HEAD_ON_SPEED),
-            PendingSpawn(time=jitter, aircraft_id="AC001", route_index=1, v_des=HEAD_ON_SPEED),
-        ]
-
-    if env_kind is EnvKind.CASE_C:
-        n = len(routes)
-    elif n_aircraft is not None:
-        n = operator.index(n_aircraft)
-    else:
-        n = int(rng.integers(1, 21))
-    if n < 1:
-        raise ScenarioError("need at least one aircraft")
-
-    spawns = []
-    last_time_by_route = {}
-    for k in range(n):
-        if env_kind is EnvKind.CASE_C:
-            route_index = k
-        else:
-            route_index = int(rng.integers(0, len(routes)))
-        if env_kind in (EnvKind.CASE_A, EnvKind.CASE_B):
-            v_des = _FIXED_SPEED_KT * KT
-        else:
-            v_des = rng.uniform(*_SPEED_RANGE_KT) * KT
-        spacing = rng.uniform(*_SPACING_RANGE)
-        t = last_time_by_route.get(route_index, 0.0) + spacing
-        last_time_by_route[route_index] = t
-        spawns.append(PendingSpawn(time=t, aircraft_id=f"AC{k:03d}", route_index=route_index, v_des=v_des))
-    spawns.sort()
-    return spawns
+    if n_aircraft is None:
+        return None
+    if EnvKind(env_kind) is EnvKind.HEAD_ON:
+        raise ValueError(f"headon always flies two aircraft; n_aircraft must be unset, got {n_aircraft!r}")
+    if isinstance(n_aircraft, bool) or not isinstance(n_aircraft, numbers.Integral) or n_aircraft < 1:
+        raise ValueError(f"n_aircraft must be an integer >= 1, got {n_aircraft!r}")
+    return int(n_aircraft)
 
 
 def make_world(env_kind, rng, sector=None, n_aircraft=None):
     """Assemble a fresh seeded world for one episode of the given scenario kind.
 
-    ``rng`` may be a numpy Generator or an integer seed. Stopped-in-LoS early
-    termination is enabled for case C only.
+    Routes: ``training`` draws two (:func:`generate_training_sector`). Case A
+    has three merging at the sector center onto one shared outbound leg, and
+    case B adds a perpendicular route crossing that leg at its midpoint (a
+    four-way intersection); both are rotated rigidly by an angle drawn
+    uniformly from a full turn. Case C gives each aircraft its own route,
+    endpoints uniform on the boundary circle with one interior waypoint
+    uniform in the disk. ``headon`` flies :func:`head_on_routes`, one aircraft
+    each at 110 kt, the second delayed by a small jitter.
+
+    ``n_aircraft`` follows :func:`aircraft_count`; unset, it is U{1..10} for
+    case C and U{1..20} for training and cases A/B. Desired speeds are
+    U(60, 120) kt for training and case C and a fixed 110 kt for cases A/B.
+    Consecutive spawns sharing a route origin are spaced by independent
+    U(60, 1200) s draws, anchored at time zero. ``rng`` may be a numpy
+    Generator or an integer seed. Stopped-in-LoS early termination is enabled
+    for case C only.
     """
     env_kind = EnvKind(env_kind)
+    n = aircraft_count(env_kind, n_aircraft)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     sector = sector or SectorParams()
+    radius = sector.sector_radius
 
+    if env_kind is EnvKind.HEAD_ON:
+        jitter = rng.uniform(0.0, HEAD_ON_JITTER)
+        spawns = [PendingSpawn(t, f"AC{k:03d}", k, HEAD_ON_SPEED) for k, t in enumerate((0.0, jitter))]
+        return make_custom_world(head_on_routes(), spawns, sector)
     if env_kind is EnvKind.TRAINING:
         routes = generate_training_sector(rng, sector)
-    elif env_kind is EnvKind.HEAD_ON:
-        routes = head_on_routes()
     elif env_kind is EnvKind.CASE_C:
-        n_aircraft = int(rng.integers(1, 11)) if n_aircraft is None else operator.index(n_aircraft)
-        routes = generate_case(env_kind, rng, sector, n_aircraft=n_aircraft)
+        n = int(rng.integers(1, 11)) if n is None else n
+        routes = []
+        for _ in range(n):
+            b1, b2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
+            mid = _uniform_disk_point(rng, radius)
+            routes.append(Route([_boundary_point(radius, b1), mid, _boundary_point(radius, b2)]))
     else:
-        routes = generate_case(env_kind, rng, sector)
+        routes = _merge_routes(sector, crossing=env_kind is EnvKind.CASE_B)
+        routes = rotate_routes(routes, rng.uniform(0.0, 2.0 * math.pi))
+    n = int(rng.integers(1, 21)) if n is None else n
 
-    spawn_queue = build_spawn_schedule(rng, env_kind, routes, n_aircraft=n_aircraft)
-    world = WorldState(
-        sector=sector,
-        routes=routes,
-        spawn_queue=spawn_queue,
-        early_termination=env_kind is EnvKind.CASE_C,
-    )
-    _insert_due_spawns(world)
+    spawns = []
+    last_time_by_route = {}
+    for k in range(n):
+        route_index = k if env_kind is EnvKind.CASE_C else int(rng.integers(0, len(routes)))
+        if env_kind in (EnvKind.CASE_A, EnvKind.CASE_B):
+            v_des = _FIXED_SPEED_KT * KT
+        else:
+            v_des = rng.uniform(*_SPEED_RANGE_KT) * KT
+        t = last_time_by_route.get(route_index, 0.0) + rng.uniform(*_SPACING_RANGE)
+        last_time_by_route[route_index] = t
+        spawns.append(PendingSpawn(time=t, aircraft_id=f"AC{k:03d}", route_index=route_index, v_des=v_des))
+    world = make_custom_world(routes, spawns, sector)
+    world.early_termination = env_kind is EnvKind.CASE_C
     return world
 
 

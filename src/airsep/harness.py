@@ -347,7 +347,7 @@ def run_gradient_suite(seed=0, op_seeds=100, io=None):
 # command-line interface
 # ---------------------------------------------------------------------------
 
-_CASE_CHOICES = ("a", "b", "c", "training", "headon")
+_CASE_CHOICES = tuple(kind.value for kind in EnvKind)
 
 
 def _build_parser():

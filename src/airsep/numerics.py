@@ -393,7 +393,9 @@ def gelu(a):
     out = x * cdf
 
     def bwd(g):
-        pdf = INV_SQRT_2PI * np.exp(-0.5 * x * x)
+        # past |x| = 40 the density is 0.0 either way; the clip keeps x * x from overflowing
+        xc = np.clip(x, -40.0, 40.0)
+        pdf = INV_SQRT_2PI * np.exp(-0.5 * xc * xc)
         return (g * (cdf + x * pdf),)
 
     return _op(out, [a], bwd, "gelu")

@@ -70,8 +70,7 @@ class ScenarioSpec:
     n_aircraft: int | None = None
 
     def __post_init__(self):
-        if self.n_aircraft is not None and self.n_aircraft < 1:
-            raise ValueError("n_aircraft must be >= 1")
+        airspace.aircraft_count(self.env_kind, self.n_aircraft)
 
 
 @dataclass(frozen=True)

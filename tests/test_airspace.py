@@ -21,7 +21,6 @@ from airsep.airspace import (
     SectorParams,
     WorldState,
     detect_events,
-    generate_case,
     generate_training_sector,
     head_on_routes,
     make_custom_world,
@@ -128,40 +127,53 @@ def test_training_sector_intersection_angles_cover_range():
 # ---------------------------------------------------------------------------
 
 
+def _unrotated(routes):
+    """Cases A/B turned back by their rotation, read off the exit waypoint (bearing 0 before it)."""
+    exit_point = routes[0].waypoints[2]
+    return rotate_routes(routes, -math.atan2(exit_point[1], exit_point[0]))
+
+
 def test_case_a_geometry():
     sector = SectorParams()
-    routes = generate_case("a", np.random.default_rng(0), sector, rotation=0.0)
-    assert len(routes) == 3
-    merge = np.array([0.0, 0.0])
-    exit_point = np.array([sector.sector_radius, 0.0])
-    for r in routes:
-        assert len(r.waypoints) == 3
-        assert np.allclose(r.waypoints[1], merge, atol=1e-9)
-        assert np.allclose(r.waypoints[2], exit_point, atol=1e-9)
-        assert abs(np.linalg.norm(r.waypoints[0]) - sector.sector_radius) < 1e-6
-    entry_bearings = sorted(
-        round(math.degrees(math.atan2(r.waypoints[0][1], r.waypoints[0][0]))) % 360 for r in routes
-    )
-    assert entry_bearings == [150, 180, 210]
+    for seed in range(5):
+        routes = _unrotated(make_world("a", seed, sector).routes)
+        assert len(routes) == 3
+        merge = np.array([0.0, 0.0])
+        exit_point = np.array([sector.sector_radius, 0.0])
+        for r in routes:
+            assert len(r.waypoints) == 3
+            assert np.allclose(r.waypoints[1], merge, atol=1e-9)
+            assert np.allclose(r.waypoints[2], exit_point, atol=1e-9)
+            assert abs(np.linalg.norm(r.waypoints[0]) - sector.sector_radius) < 1e-6
+        entry_bearings = sorted(
+            round(math.degrees(math.atan2(r.waypoints[0][1], r.waypoints[0][0]))) % 360 for r in routes
+        )
+        assert entry_bearings == [150, 180, 210]
 
 
 def test_case_b_adds_perpendicular_crossing():
     sector = SectorParams()
-    routes = generate_case("b", np.random.default_rng(0), sector, rotation=0.0)
-    assert len(routes) == 4
-    crossing = routes[3]
-    outbound_dir = np.array([1.0, 0.0])
-    cross_dir = crossing.directions[0]
-    assert abs(outbound_dir @ cross_dir) < 1e-9
-    # both crossing endpoints on the boundary circle, midpoint of the outbound leg on the crossing
-    for w in crossing.waypoints:
-        assert abs(np.linalg.norm(w) - sector.sector_radius) < 1e-6
-    assert abs(crossing.waypoints[0][0] - sector.sector_radius / 2) < 1e-9
+    for seed in range(5):
+        routes = _unrotated(make_world("b", seed, sector).routes)
+        assert len(routes) == 4
+        crossing = routes[3]
+        outbound_dir = np.array([1.0, 0.0])
+        cross_dir = crossing.directions[0]
+        assert abs(outbound_dir @ cross_dir) < 1e-9
+        # both crossing endpoints on the boundary circle, midpoint of the outbound leg on the crossing
+        for w in crossing.waypoints:
+            assert abs(np.linalg.norm(w) - sector.sector_radius) < 1e-6
+        assert abs(crossing.waypoints[0][0] - sector.sector_radius / 2) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_cases_a_and_b_are_rotated_per_episode(case):
+    exits = {tuple(make_world(case, seed).routes[0].waypoints[2]) for seed in range(10)}
+    assert len(exits) == 10
 
 
 def test_case_rotation_round_trip():
-    rng = np.random.default_rng(1)
-    base = generate_case("a", rng, rotation=0.3)
+    base = make_world("a", np.random.default_rng(1)).routes
     back = rotate_routes(rotate_routes(base, 1.1), -1.1)
     for ra, rb in zip(base, back):
         assert np.max(np.abs(ra.waypoints - rb.waypoints)) < 1e-9
@@ -169,9 +181,10 @@ def test_case_rotation_round_trip():
 
 def test_case_c_single_route():
     sector = SectorParams()
-    routes = generate_case("c", np.random.default_rng(5), sector, n_aircraft=1)
-    assert len(routes) == 1
-    r = routes[0]
+    world = make_world("c", np.random.default_rng(5), sector, n_aircraft=1)
+    assert len(world.routes) == 1
+    assert len(world.spawn_queue) == 1
+    r = world.routes[0]
     assert len(r.waypoints) == 3
     assert abs(np.linalg.norm(r.waypoints[0]) - sector.sector_radius) < 1e-6
     assert abs(np.linalg.norm(r.waypoints[2]) - sector.sector_radius) < 1e-6
@@ -180,26 +193,32 @@ def test_case_c_single_route():
 
 def test_unknown_case_rejected():
     with pytest.raises(ValueError):
-        generate_case("z", np.random.default_rng(0))
+        make_world("z", np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
-# spawn schedules
+# spawn schedules and aircraft counts
 # ---------------------------------------------------------------------------
 
 
-def test_spawn_schedule_case_a_fixed_speed():
-    routes = generate_case("a", np.random.default_rng(0), rotation=0.0)
+def _schedule(world):
+    """Every spawn of a fresh world: the aircraft already inserted, then the queue."""
+    inserted = [PendingSpawn(ac.spawn_time, ac.aircraft_id, world.routes.index(ac.route), ac.v_des)
+                for ac in world.aircraft]
+    return inserted + world.spawn_queue
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_spawn_schedule_cases_a_b_fixed_speed(case):
     for seed in range(20):
-        spawns = asp.build_spawn_schedule(np.random.default_rng(seed), "a", routes)
+        spawns = _schedule(make_world(case, np.random.default_rng(seed)))
         assert 1 <= len(spawns) <= 20
         assert all(sp.v_des == 110 * KT for sp in spawns)
 
 
 def test_spawn_schedule_training_speeds_and_spacing():
-    routes = generate_training_sector(np.random.default_rng(0))
     for seed in range(20):
-        spawns = asp.build_spawn_schedule(np.random.default_rng(seed), "training", routes)
+        spawns = _schedule(make_world("training", np.random.default_rng(seed)))
         assert 1 <= len(spawns) <= 20
         for sp in spawns:
             assert 60 * KT <= sp.v_des <= 120 * KT
@@ -214,10 +233,42 @@ def test_spawn_schedule_training_speeds_and_spacing():
 
 
 def test_spawn_schedule_case_c_dedicated_routes():
-    routes = generate_case("c", np.random.default_rng(3), n_aircraft=6)
-    spawns = asp.build_spawn_schedule(np.random.default_rng(4), "c", routes)
+    world = make_world("c", np.random.default_rng(3), n_aircraft=6)
+    spawns = _schedule(world)
+    assert len(world.routes) == 6
     assert len(spawns) == 6
     assert sorted(sp.route_index for sp in spawns) == list(range(6))
+
+
+def test_default_counts_cover_their_ranges():
+    for case, top in (("training", 20), ("a", 20), ("b", 20), ("c", 10)):
+        counts = {len(_schedule(make_world(case, seed))) for seed in range(400)}
+        assert counts == set(range(1, top + 1)), case
+
+
+def test_headon_always_flies_two():
+    for seed in range(10):
+        spawns = _schedule(make_world("headon", seed))
+        assert [sp.aircraft_id for sp in spawns] == ["AC000", "AC001"]
+        assert all(sp.v_des == 110 * KT for sp in spawns)
+
+
+def test_headon_rejects_an_aircraft_count():
+    with pytest.raises(ValueError, match="headon"):
+        make_world("headon", np.random.default_rng(0), n_aircraft=3)
+
+
+@pytest.mark.parametrize("kind", [k for k in EnvKind if k is not EnvKind.HEAD_ON])
+@pytest.mark.parametrize("count", [0, -2, 2.0, True, "3"])
+def test_make_world_rejects_a_count_that_is_not_a_positive_integer(kind, count):
+    with pytest.raises(ValueError, match="n_aircraft"):
+        make_world(kind, np.random.default_rng(0), n_aircraft=count)
+
+
+@pytest.mark.parametrize("kind", [k for k in EnvKind if k is not EnvKind.HEAD_ON])
+def test_make_world_flies_the_count_it_is_given(kind):
+    for count in (1, 3, np.int64(7)):
+        assert len(_schedule(make_world(kind, 11, n_aircraft=count))) == count
 
 
 def test_spawn_deferral_on_origin_los():

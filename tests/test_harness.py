@@ -431,9 +431,10 @@ def test_cli_train_rejects_values_of_the_wrong_type(tmp_path, capsys, section, f
         ("scenario: {env: training, n_aircraft: 2.5}", "bad value in scenario"),
         ("seed: -1", "bad value in training config"),
         ("scenario: {env: c, n_aircraft: 0}", "bad value in scenario"),
+        ("scenario: {env: headon, n_aircraft: 3}", "bad value in scenario"),
     ],
     ids=["seed_not_an_integer", "seed_a_bool", "checkpoint_every_negative", "n_aircraft_not_an_integer",
-         "seed_negative", "n_aircraft_zero"],
+         "seed_negative", "n_aircraft_zero", "n_aircraft_for_headon"],
 )
 def test_cli_train_rejects_values_it_would_coerce(tmp_path, capsys, text, fragment):
     config = tmp_path / "bad.yaml"

@@ -12,6 +12,10 @@ Each line is ``<gate> <sha256>``:
 
 * ``numerics.gelu`` forward and backward (unit upstream gradient) on a
   fixed grid of 1 M points over [-12, 12];
+* ``make_world`` for every ``EnvKind`` over seeds 0..199 and the counts
+  None, 1, 3 and 16 (``headon``: None only, it always flies two): the
+  routes, the spawn queue, the aircraft inserted, ``early_termination``,
+  ``n_spawned`` and the generator's state afterwards;
 * every shipped config (``configs/*.yaml``): the ``repr`` of the
   ``TrainConfig`` that ``load_training_config`` reads from it;
 * ``smoke_headon.yaml`` cut to 3 updates and ``paper_scale.yaml`` cut to
@@ -41,9 +45,11 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from airsep import config, harness, numerics as nm, policy, ppo  # noqa: E402
+from airsep import airspace, config, harness, numerics as nm, policy, ppo  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+WORLD_SEEDS = range(200)
+WORLD_COUNTS = (None, 1, 3, 16)
 TRAINING_CUTS = {
     "smoke_headon": {"updates": 3},
     "paper_scale": {"updates": 2, "n_envs": 2, "horizon": 300},
@@ -63,6 +69,27 @@ def gelu_gates():
     y = nm.gelu(x)
     nm.backward(nm.tsum(y))
     yield "numerics.gelu", sha(y.data.tobytes() + x.grad.tobytes())
+
+
+def world_digest(world, rng):
+    aircraft = [
+        (ac.aircraft_id, world.routes.index(ac.route), ac.leg, ac.leg_offset, ac.cas, ac.v_des, ac.spawn_time,
+         ac.eta_deadline)
+        for ac in world.aircraft
+    ]
+    state = (world.spawn_queue, aircraft, world.early_termination, world.n_spawned, rng.bit_generator.state)
+    return b"".join(r.waypoints.tobytes() for r in world.routes) + repr(state).encode()
+
+
+def world_gates():
+    for kind in airspace.EnvKind:
+        digest = hashlib.sha256()
+        counts = (None,) if kind is airspace.EnvKind.HEAD_ON else WORLD_COUNTS
+        for seed in WORLD_SEEDS:
+            for n in counts:
+                rng = np.random.default_rng(seed)
+                digest.update(world_digest(airspace.make_world(kind, rng, n_aircraft=n), rng))
+        yield f"make_world.{kind.value}", digest.hexdigest()
 
 
 def config_gates(configs):
@@ -121,6 +148,7 @@ def main():
         print("checkpoint", sha(Path(checkpoint).read_bytes()), flush=True)
         gates = (
             gelu_gates(),
+            world_gates(),
             config_gates(args.configs),
             training_gates(args.configs, work),
             evaluate_gates(checkpoint),
