@@ -29,6 +29,7 @@ _SECTOR_FIELDS = {
     "arrival_capture_radius_m": ("arrival_capture_radius", 1.0),
     "timeout_buffer_min": ("timeout_buffer", 60.0),
 }
+ENV_NAMES = tuple(kind.value for kind in EnvKind)  # a scenario's env, and the CLI's --case
 _NUMBERS = {int: numbers.Integral, float: numbers.Real}  # what these annotations admit, bools excepted
 
 
@@ -87,9 +88,11 @@ def sector_from_config(mapping):
 
 def scenario_from_config(mapping):
     mapping = _section(mapping, ("env", "sector", "n_aircraft"), "scenario")
-    env = EnvKind(mapping.get("env", "training"))
+    env = mapping.get("env", "training")
+    if env not in ENV_NAMES:
+        raise ValueError(f"bad value in scenario: env must be one of {', '.join(ENV_NAMES)}, got {env!r}")
     sector = sector_from_config(mapping.get("sector"))
-    spec = {"env_kind": env, "sector": sector, "n_aircraft": mapping.get("n_aircraft")}
+    spec = {"env_kind": EnvKind(env), "sector": sector, "n_aircraft": mapping.get("n_aircraft")}
     return from_fields(ScenarioSpec, spec, "scenario")
 
 

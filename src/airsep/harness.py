@@ -347,8 +347,6 @@ def run_gradient_suite(seed=0, op_seeds=100, io=None):
 # command-line interface
 # ---------------------------------------------------------------------------
 
-_CASE_CHOICES = tuple(kind.value for kind in EnvKind)
-
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -364,7 +362,7 @@ def _build_parser():
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint with greedy advisories")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--case", choices=_CASE_CHOICES, default="a")
+    p_eval.add_argument("--case", choices=config_mod.ENV_NAMES, default="a")
     p_eval.add_argument("--episodes", type=int, default=100)
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--out", default="runs/eval")
@@ -375,7 +373,7 @@ def _build_parser():
 
     p_dump = sub.add_parser("rollout-dump", help="write one episode's event log and trajectory")
     p_dump.add_argument("--checkpoint", default=None, help="policy checkpoint (fresh init if omitted)")
-    p_dump.add_argument("--case", choices=_CASE_CHOICES, default="training")
+    p_dump.add_argument("--case", choices=config_mod.ENV_NAMES, default="training")
     p_dump.add_argument("--seed", type=int, default=0)
     p_dump.add_argument("--out", default="runs/rollout")
     return parser

@@ -6,11 +6,12 @@ during the forward pass, and the network building blocks (a fused affine
 projection, exact-erf GELU, layer norm, stable log-softmax, multi-head
 attention with a key-padding mask). Everything is 64-bit; an exact NaN/Inf
 screen on every leaf and op output (one dot product, no ``np.errstate``)
-raises at the op that made the value.
+raises at the op that made the value, and names it.
 
-The tape is acyclic (output -> node -> inputs, never back), so reference
-counting frees a dead graph. Gradients are read-only: leaves may share one
-array, so code that rescales a gradient assigns a new one.
+The tape is the tensors themselves: a recorded op's output holds its input
+tensors and its backward rule. It is acyclic (output -> inputs, never back),
+so reference counting frees a dead graph. Gradients are read-only: leaves may
+share one array, so code that rescales a gradient assigns a new one.
 
 GELU's erf is scipy's compiled ufunc, the very object ``scipy.special.erf``
 names, so every bit matches scipy. It is loaded from its extension module
@@ -26,6 +27,7 @@ import importlib.util
 import json
 import math
 import os
+import zipfile
 
 import numpy as np
 
@@ -70,48 +72,30 @@ class GraphError(NumericsError):
     """Backward was invoked on something that is not a scalar graph output."""
 
 
-class ConfigError(NumericsError):
-    """Structural configuration is invalid (e.g. heads not dividing the width)."""
-
-
-class Node:
-    """One recorded primitive op: input tensors and backward rule.
-
-    ``backward_fn`` maps the gradient w.r.t. the output to a tuple of
-    gradients aligned with ``inputs`` (``None`` for non-differentiable slots).
-    """
-
-    __slots__ = ("inputs", "backward_fn", "name")
-
-    def __init__(self, inputs, backward_fn, name):
-        self.inputs = inputs
-        self.backward_fn = backward_fn
-        self.name = name
-
-    def __repr__(self):
-        return f"Node({self.name})"
-
-
-def _finite(data):
-    """``data`` as a float64 array, exactly screened for NaN/Inf with no numpy error state:
-    a NaN or Inf makes the sum of squares (one BLAS dot) non-finite, and finite
-    values whose squares overflow fall through to the elementwise check."""
+def _finite(data, op=None):
+    """``data`` as a float64 array, exactly screened for NaN/Inf with no numpy error state
+    (a NaN or Inf makes the sum of squares, one BLAS dot, non-finite; finite values whose
+    squares overflow fall through to the elementwise check). The error names ``op``, if given."""
     arr = np.asarray(data, dtype=np.float64)
     if not math.isfinite(np.vdot(arr, arr)) and not np.all(np.isfinite(arr)):
-        raise NonFiniteError("tensor holds non-finite values")
+        source = "tensor data" if op is None else f"the output of {op}"
+        raise NonFiniteError(f"non-finite values in {source}")
     return arr
 
 
 class Tensor:
-    """A float64 array plus optional gradient buffer and producing node."""
+    """A float64 array plus optional gradient buffer. A recorded op's output also holds its
+    input tensors and its backward rule, which maps the gradient w.r.t. the output to a tuple
+    aligned with ``inputs`` (``None`` where not differentiable); others hold ``()`` and ``None``."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "inputs", "backward_fn")
 
     def __init__(self, data, requires_grad=False):
         self.data = _finite(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.node = None
+        self.inputs = ()
+        self.backward_fn = None
 
     @property
     def shape(self):
@@ -162,12 +146,12 @@ class no_grad:
 
 
 def _op(data, inputs, backward_fn, name):
-    """Create the output tensor of a primitive and record its node."""
+    """The output of primitive ``name``; it records its inputs and backward rule if it needs a gradient."""
     out = Tensor.__new__(Tensor)
-    out.data = _finite(data)
+    out.data = _finite(data, name)
     out.grad = None
     out.requires_grad = _grad_enabled and any(t.requires_grad for t in inputs)
-    out.node = Node(tuple(inputs), backward_fn, name) if out.requires_grad else None
+    out.inputs, out.backward_fn = (tuple(inputs), backward_fn) if out.requires_grad else ((), None)
     return out
 
 
@@ -262,7 +246,7 @@ def _matmul_arrays(ad, bd):
 
 
 def affine(a, w, b):
-    """``add(matmul(a, w), b)`` recorded as one node, with the same two numpy
+    """``add(matmul(a, w), b)`` recorded as one op, with the same two numpy
     operations, so its value and gradients equal the pair's bit for bit."""
     prod, matmul_bwd = _matmul_arrays(a.data, w.data)
     shape = prod.shape  # the closure keeps the shape, not the pre-bias product
@@ -352,24 +336,22 @@ def exp(a):
     return _op(out, [a], lambda g: (g * out,), "exp")
 
 
-def minimum(a, b):
-    """Elementwise minimum; at exact ties the gradient goes to ``a``."""
-    take_a = a.data <= b.data
-
+def _select(a, b, take_a, name):
+    """``a`` where ``take_a``, else ``b``; the gradient follows the entry taken."""
     def bwd(g):
         return np.where(take_a, g, 0.0), np.where(take_a, 0.0, g)
 
-    return _op(np.where(take_a, a.data, b.data), [a, b], bwd, "minimum")
+    return _op(np.where(take_a, a.data, b.data), [a, b], bwd, name)
+
+
+def minimum(a, b):
+    """Elementwise minimum; at exact ties the gradient goes to ``a``."""
+    return _select(a, b, a.data <= b.data, "minimum")
 
 
 def maximum(a, b):
     """Elementwise maximum; at exact ties the gradient goes to ``a``."""
-    take_a = a.data >= b.data
-
-    def bwd(g):
-        return np.where(take_a, g, 0.0), np.where(take_a, 0.0, g)
-
-    return _op(np.where(take_a, a.data, b.data), [a, b], bwd, "maximum")
+    return _select(a, b, a.data >= b.data, "maximum")
 
 
 def clip(a, lo, hi):
@@ -463,7 +445,7 @@ def mha_core(q, k, v, heads, key_mask=None):
     b, m, d = qd.shape
     n = kd.shape[1]
     if d % heads != 0:
-        raise ConfigError(f"width {d} not divisible by {heads} heads")
+        raise ShapeError(f"width {d} not divisible by {heads} heads")
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
     # (B, heads, rows, dh) views
@@ -500,10 +482,10 @@ def mha_core(q, k, v, heads, key_mask=None):
 
 
 def _topological_nodes(loss):
-    """The producing nodes of ``loss``, each after the nodes of its inputs."""
+    """The recorded tensors behind ``loss``, itself included, each after its recorded inputs."""
     nodes = []
     seen = set()
-    stack = [(loss.node, False)]
+    stack = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -514,15 +496,15 @@ def _topological_nodes(loss):
         seen.add(id(node))
         stack.append((node, True))
         for t in node.inputs:
-            if t.node is not None and id(t.node) not in seen:
-                stack.append((t.node, False))
+            if t.backward_fn is not None and id(t) not in seen:
+                stack.append((t, False))
     return nodes
 
 
 def backward(loss):
     """Accumulate d(loss)/d(leaf) into ``grad`` of every requires-grad leaf.
 
-    ``loss`` must be a 0-d tensor. Each recorded node is visited exactly once;
+    ``loss`` must be a 0-d tensor. Each recorded tensor is visited exactly once;
     a tensor consumed by several ops receives the sum of all path gradients.
     Existing ``grad`` buffers are accumulated into, not overwritten. A leaf's
     new gradient may share memory with another leaf's or with an upstream
@@ -531,11 +513,11 @@ def backward(loss):
     if loss.data.shape != ():
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     one = np.ones((), dtype=np.float64)
-    if loss.node is None:
+    if loss.backward_fn is None:
         if loss.requires_grad:
             loss.grad = one if loss.grad is None else loss.grad + one
         return
-    grads = {id(loss.node): one}
+    grads = {id(loss): one}
     for node in reversed(_topological_nodes(loss)):
         g_out = grads.pop(id(node), None)
         if g_out is None:
@@ -543,10 +525,10 @@ def backward(loss):
         for t, g in zip(node.inputs, node.backward_fn(g_out)):
             if g is None or not t.requires_grad:
                 continue
-            if t.node is None:
+            if t.backward_fn is None:
                 t.grad = g if t.grad is None else t.grad + g
             else:
-                key = id(t.node)
+                key = id(t)
                 grads[key] = g if key not in grads else grads[key] + g
 
 
@@ -605,11 +587,6 @@ def init_affine(rng, fan_in, fan_out):
     return w, b
 
 
-def init_gaussian(rng, shape):
-    """Standard-normal tensor, trainable."""
-    return Tensor(rng.standard_normal(size=shape), requires_grad=True)
-
-
 def save_checkpoint(path, arrays, meta=None):
     """Write named float64 arrays plus a JSON metadata block to an .npz file.
 
@@ -635,13 +612,16 @@ def save_checkpoint(path, arrays, meta=None):
 
 
 def load_checkpoint(path):
-    """Read back (arrays, meta) written by :func:`save_checkpoint`."""
-    with np.load(path, allow_pickle=False) as z:
-        if _META_KEY not in z:
-            raise ValueError(f"{path} is not a parameter checkpoint (missing metadata)")
-        meta = json.loads(str(z[_META_KEY]))
-        version = meta.get("format_version")
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format_version {version!r}")
-        arrays = {name: z[name] for name in z.files if name != _META_KEY}
+    """Read back (arrays, meta) written by :func:`save_checkpoint`; ValueError if it is no such archive."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            if _META_KEY not in z:
+                raise ValueError(f"{path} is not a parameter checkpoint (missing metadata)")
+            meta = json.loads(str(z[_META_KEY]))
+            version = meta.get("format_version")
+            if version != CHECKPOINT_FORMAT_VERSION:
+                raise ValueError(f"unsupported checkpoint format_version {version!r}")
+            arrays = {name: z[name] for name in z.files if name != _META_KEY}
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"{path} does not read as a checkpoint archive: {exc}") from exc
     return arrays, meta

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import config as config_mod, numerics as nm
 from .airspace import INTRUDER_FEATURES, Advisory
-from .numerics import ConfigError, Tensor
+from .numerics import Tensor
 
 OWNSHIP_DIM = 2
 INTRUDER_DIM = len(INTRUDER_FEATURES)
@@ -51,9 +51,9 @@ class PolicyConfig:
 
     def __post_init__(self):
         if min(self.d_emb, self.d_ff, self.heads, self.layers) < 1:
-            raise ConfigError("all network dimensions must be >= 1")
+            raise ValueError("all network dimensions must be >= 1")
         if self.d_emb % self.heads != 0:
-            raise ConfigError(f"d_emb {self.d_emb} not divisible by heads {self.heads}")
+            raise ValueError(f"d_emb {self.d_emb} not divisible by heads {self.heads}")
 
 
 @dataclass
@@ -187,7 +187,7 @@ def init_params(config, rng):
     v_w, v_b = nm.init_affine(rng, d, 1)
     return PolicyParams(
         config=config,
-        cls_base=nm.init_gaussian(rng, (d,)),
+        cls_base=Tensor(rng.standard_normal(size=(d,)), requires_grad=True),
         own_w=own_w, own_b=own_b,
         own_ln_gain=own_ln_gain, own_ln_bias=own_ln_bias,
         intr_w=intr_w, intr_b=intr_b,
@@ -356,9 +356,11 @@ def load_policy(path):
     """Rebuild (params, meta) from a checkpoint; forward passes are bit-identical.
 
     A checkpoint without value-normalization statistics gets fresh (identity)
-    ones; network or statistics metadata that does not fit raises ValueError.
+    ones; a missing network block, or metadata that does not fit, raises ValueError.
     """
     arrays, meta = nm.load_checkpoint(path)
+    if "network" not in meta:
+        raise ValueError(f"{path} is not a policy checkpoint: it has no network block")
     config = config_mod.from_fields(PolicyConfig, meta["network"], "checkpoint network")
     value_norm = config_mod.from_fields(
         ValueNormalizer, meta.get("value_normalization"), "checkpoint value_normalization"

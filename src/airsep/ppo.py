@@ -71,6 +71,7 @@ class ScenarioSpec:
 
     def __post_init__(self):
         airspace.aircraft_count(self.env_kind, self.n_aircraft)
+        object.__setattr__(self, "env_kind", EnvKind(self.env_kind))
 
 
 @dataclass(frozen=True)

@@ -196,7 +196,7 @@ def test_recording_the_tape_changes_no_arithmetic(case):
     for obs in observations:
         logits, value = forward(obs, params)
         recorded_logits, recorded_value = forward_tensors(obs, params)
-        assert recorded_logits.node is not None and recorded_value.node is not None
+        assert recorded_logits.backward_fn is not None and recorded_value.backward_fn is not None
         assert np.array_equal(logits, recorded_logits.data)
         assert value == params.value_norm.denormalize(float(recorded_value.data))
 

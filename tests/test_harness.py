@@ -397,6 +397,7 @@ def _assert_clean_error(code, capsys, fragment):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert fragment in err
+    return err
 
 
 @pytest.mark.parametrize(
@@ -432,9 +433,10 @@ def test_cli_train_rejects_values_of_the_wrong_type(tmp_path, capsys, section, f
         ("seed: -1", "bad value in training config"),
         ("scenario: {env: c, n_aircraft: 0}", "bad value in scenario"),
         ("scenario: {env: headon, n_aircraft: 3}", "bad value in scenario"),
+        ("scenario: {env: zz}", "bad value in scenario: env must be one of training, a, b, c, headon, got 'zz'"),
     ],
     ids=["seed_not_an_integer", "seed_a_bool", "checkpoint_every_negative", "n_aircraft_not_an_integer",
-         "seed_negative", "n_aircraft_zero", "n_aircraft_for_headon"],
+         "seed_negative", "n_aircraft_zero", "n_aircraft_for_headon", "env_unknown"],
 )
 def test_cli_train_rejects_values_it_would_coerce(tmp_path, capsys, text, fragment):
     config = tmp_path / "bad.yaml"
@@ -518,6 +520,7 @@ def _out_of_range_cases():
         ("ppo", "learning_rate", -1.0), ("ppo", "entropy_coef", -0.5), ("ppo", "vf_coef", -2.0),
         ("ppo", "max_grad_norm", -1.0), ("ppo", "max_grad_norm", 0.0), ("ppo", "clip_eps", -0.2),
         ("reward", "alpha_v", -1.0), ("reward", "alpha_los", 0.0),
+        ("network", "heads", 3), ("network", "layers", 0),
     ]
     cases += [pytest.param(section, _tiny_with(section, key, value), id=f"{section}.{key}={value}")
               for section, key, value in below]
@@ -570,6 +573,46 @@ def test_cli_rejects_checkpoint_metadata_of_the_wrong_type(tmp_path, capsys, com
     ckpt = save_checkpoint(tmp_path / "odd", params.named_parameters(), meta)
     code = cli([*command, "--checkpoint", str(ckpt), "--case", "headon", "--out", str(tmp_path / "out")])
     _assert_clean_error(code, capsys, f"bad value in checkpoint {block}: {key}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["eval", "--episodes", "1"], ["rollout-dump"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("network", [{"d_emb": 8, "heads": 3}, {"layers": 0}], ids=["heads_3_for_d_emb_8", "layers_0"])
+def test_cli_rejects_checkpoint_network_values_out_of_range(tmp_path, capsys, command, network):
+    params = init_params(PolicyConfig(d_emb=16, d_ff=32, heads=4, layers=1), np.random.default_rng(1))
+    meta = {"network": dict(asdict(params.config), **network)}
+    ckpt = save_checkpoint(tmp_path / "odd", params.named_parameters(), meta)
+    code = cli([*command, "--checkpoint", str(ckpt), "--case", "headon", "--out", str(tmp_path / "out")])
+    _assert_clean_error(code, capsys, "error: bad value in checkpoint network: ")
+    assert not (tmp_path / "out").exists()
+
+
+def _checkpoint_cut_in_half(tmp_path):
+    params = init_params(PolicyConfig(d_emb=16, d_ff=32, heads=4, layers=1), np.random.default_rng(1))
+    path = Path(save_policy(tmp_path / "cut", params))
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    return path
+
+
+def _checkpoint_without_network(tmp_path):
+    params = init_params(PolicyConfig(d_emb=16, d_ff=32, heads=4, layers=1), np.random.default_rng(1))
+    return Path(save_checkpoint(tmp_path / "bare", params.named_parameters()))
+
+
+@pytest.mark.parametrize("command", [["eval", "--episodes", "1"], ["rollout-dump"]], ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    "make, fragment",
+    [(_checkpoint_cut_in_half, "does not read as a checkpoint archive"),
+     (_checkpoint_without_network, "has no network block")],
+    ids=["cut_in_half", "no_network_block"],
+)
+def test_cli_rejects_an_unreadable_checkpoint(tmp_path, capsys, command, make, fragment):
+    ckpt = make(tmp_path)
+    code = cli([*command, "--checkpoint", str(ckpt), "--case", "headon", "--out", str(tmp_path / "out")])
+    err = _assert_clean_error(code, capsys, fragment)
+    assert str(ckpt) in err
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -215,7 +215,7 @@ def test_layer_norm_gradients_equal_the_mean_formula_bit_for_bit():
             dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         )
         want = (dx, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1)))
-        for got, expected in zip(out.node.backward_fn(g), want):
+        for got, expected in zip(out.backward_fn(g), want):
             assert np.array_equal(got, expected)
 
 
@@ -278,7 +278,7 @@ def test_attention_head_divisibility():
     tokens = _rand((4, 128), 1, grad=False)
     out = nm.mha_core(tokens, tokens, tokens, 16)
     assert out.data.shape == (4, 128)
-    with pytest.raises(nm.ConfigError):
+    with pytest.raises(nm.ShapeError):
         nm.mha_core(tokens, tokens, tokens, 15)
 
 
@@ -402,11 +402,12 @@ def test_graph_is_topologically_ordered():
     y = nm.square(x)
     z = nm.add(nm.square(y), y)
     nodes = nm._topological_nodes(z)
+    assert nodes[-1] is z and x not in nodes
     position = {id(node): i for i, node in enumerate(nodes)}
     for i, node in enumerate(nodes):
         for t in node.inputs:
-            if t.node is not None:
-                assert position[id(t.node)] < i
+            if t.backward_fn is not None:
+                assert position[id(t)] < i
 
 
 def test_non_finite_rejected():
@@ -423,6 +424,17 @@ def test_non_finite_rejected_by_leaves_and_op_outputs(bad):
         Tensor([1.0, bad, 2.0])
     with nm.no_grad(), pytest.raises(NonFiniteError):
         nm.add(Tensor([1.0, 2.0, 3.0]), bad)
+
+
+@pytest.mark.parametrize("grad", [True, False], ids=["recorded", "no_grad"])
+def test_non_finite_error_names_the_op_that_made_the_value(grad):
+    x = Tensor([1.0, 1000.0], requires_grad=grad)
+    with pytest.raises(NonFiniteError, match="^non-finite values in the output of exp$"):
+        nm.exp(x)
+    with pytest.raises(NonFiniteError, match="^non-finite values in the output of add_const$"):
+        nm.add(x, np.inf)
+    with pytest.raises(NonFiniteError, match="^non-finite values in tensor data$"):
+        Tensor([np.nan], requires_grad=grad)
 
 
 @pytest.mark.filterwarnings("error")

@@ -8,7 +8,6 @@ import pytest
 
 from airsep import numerics as nm
 from airsep.featurize import EgoObservation
-from airsep.numerics import ConfigError
 from airsep.policy import (
     VALUE_VAR_FLOOR,
     PolicyConfig,
@@ -46,8 +45,10 @@ def _obs(rng, n_intruders):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="not divisible by heads"):
         PolicyConfig(d_emb=10, heads=4)
+    with pytest.raises(ValueError, match=">= 1"):
+        PolicyConfig(layers=0)
 
 
 def test_cls_token_shape_and_determinism():

@@ -451,6 +451,18 @@ def test_train_resume_from_checkpoint(tmp_path, monkeypatch):
         train(bad, tmp_path / "third")
 
 
+def test_train_takes_a_scenario_kind_given_as_a_string(tmp_path):
+    assert HEAD_ON.env_kind is airspace.EnvKind.HEAD_ON
+    cfg = TrainConfig(
+        network=SMOKE_NET,
+        hyper=HyperParams(updates=1, n_envs=1, horizon=8, batch_size=8, epochs=1),
+        scenario=HEAD_ON,
+    )
+    result = train(cfg, tmp_path / "run")
+    _, meta = nm.load_checkpoint(result.checkpoint_paths[-1])
+    assert meta["env_kind"] == "headon"
+
+
 def test_train_survives_a_late_first_spawn(tmp_path):
     # config seed 0 draws training worlds whose first aircraft spawn after the
     # 256-step horizon in both envs; counting those idle steps against the

@@ -12,6 +12,13 @@ Each line is ``<gate> <sha256>``:
 
 * ``numerics.gelu`` forward and backward (unit upstream gradient) on a
   fixed grid of 1 M points over [-12, 12];
+* ``numerics.backward`` of ``ppo.ppo_loss`` at paper width with 1, 2 and 3
+  encoder layers, on one seeded minibatch padded from observations with 0, 1,
+  3, 7 and 15 intruders: every parameter's gradient (or ``None``) in
+  ``named_parameters`` order. The loss reuses tensors on several paths (the
+  normed tokens feed q, k and v, the value head two ``sub``s, the
+  log-softmax ``pick`` and the entropy), so this pins the order in which the
+  tape accumulates gradients;
 * ``make_world`` for every ``EnvKind`` over seeds 0..199 and the counts
   None, 1, 3 and 16 (``headon``: None only, it always flies two): the
   routes, the spawn queue, the aircraft inserted, ``early_termination``,
@@ -46,10 +53,12 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 from airsep import airspace, config, harness, numerics as nm, policy, ppo  # noqa: E402
+from airsep.featurize import EgoObservation  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 WORLD_SEEDS = range(200)
 WORLD_COUNTS = (None, 1, 3, 16)
+BACKWARD_COUNTS = (0, 1, 3, 7, 15)
 TRAINING_CUTS = {
     "smoke_headon": {"updates": 3},
     "paper_scale": {"updates": 2, "n_envs": 2, "horizon": 300},
@@ -69,6 +78,28 @@ def gelu_gates():
     y = nm.gelu(x)
     nm.backward(nm.tsum(y))
     yield "numerics.gelu", sha(y.data.tobytes() + x.grad.tobytes())
+
+
+def backward_gates():
+    rng = np.random.default_rng(11)
+    observations = [
+        EgoObservation(ownship=rng.uniform(0.0, 1.0, 2), intruders=rng.standard_normal((n, policy.INTRUDER_DIM)))
+        for n in BACKWARD_COUNTS
+    ]
+    rows = policy.pad_observations(observations)
+    b = len(observations)
+    actions = rng.integers(0, policy.N_ACTIONS, b)
+    logp_old = np.log(rng.uniform(0.2, 0.5, b))
+    advantages, returns, values_old = rng.standard_normal((3, b))
+    for m in (1, 2, 3):
+        params = policy.init_params(policy.PolicyConfig(layers=m), np.random.default_rng(m))
+        total = ppo.ppo_loss(params, rows, actions, logp_old, advantages, returns, values_old, ppo.HyperParams())[0]
+        nm.backward(total)
+        grads = b"".join(
+            name.encode() + (b"None" if t.grad is None else t.grad.tobytes())
+            for name, t in params.named_parameters().items()
+        )
+        yield f"numerics.backward.m{m}", sha(grads)
 
 
 def world_digest(world, rng):
@@ -148,6 +179,7 @@ def main():
         print("checkpoint", sha(Path(checkpoint).read_bytes()), flush=True)
         gates = (
             gelu_gates(),
+            backward_gates(),
             world_gates(),
             config_gates(args.configs),
             training_gates(args.configs, work),
