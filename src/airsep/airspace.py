@@ -32,10 +32,6 @@ HEAD_ON_SPEED = 110.0 * KT
 HEAD_ON_JITTER = 30.0
 
 
-class ScenarioError(Exception):
-    """Scenario generation failed (statistically unreachable resample cap, bad ids)."""
-
-
 class Advisory(enum.IntEnum):
     """Three-way speed advisory; value doubles as the policy action index."""
 
@@ -87,10 +83,10 @@ class SectorParams:
     def __post_init__(self):
         if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
             raise ValueError("every sector value must be finite")
-        if not (self.r_nmac < self.r_pz < self.sector_radius):
-            raise ValueError("require r_nmac < r_pz < sector_radius")
-        if self.v_min != 0.0 or self.v_max < self.v_min:
-            raise ValueError("require v_min = 0 <= v_max")
+        if not (0.0 <= self.r_nmac < self.r_pz < self.sector_radius):  # features divide by the radius
+            raise ValueError("require 0 <= r_nmac < r_pz < sector_radius")
+        if self.v_min != 0.0 or self.v_max <= self.v_min:  # and by v_max
+            raise ValueError("require v_min = 0 < v_max")
         if self.speed_increment <= 0.0:
             raise ValueError("speed_increment must be positive")
         if self.decision_interval <= 0.0 or self.lookahead <= 0.0:
@@ -546,7 +542,7 @@ def generate_training_sector(rng, sector=None):
                     a, b = b, a
                 routes.append(Route([a, b]))
             return routes
-    raise ScenarioError(f"no admissible endpoints after {ENDPOINT_RESAMPLE_CAP} draws")
+    raise ValueError(f"no admissible endpoints after {ENDPOINT_RESAMPLE_CAP} draws")
 
 
 def _merge_routes(sector, crossing):
@@ -661,7 +657,7 @@ def make_custom_world(routes, spawns, sector=None):
     sector = sector or SectorParams()
     ids = [sp.aircraft_id for sp in spawns]
     if len(set(ids)) != len(ids):
-        raise ScenarioError("spawn ids must be unique")
+        raise ValueError("spawn ids must be unique")
     world = WorldState(sector=sector, routes=list(routes), spawn_queue=sorted(spawns))
     _insert_due_spawns(world)
     return world

@@ -6,6 +6,7 @@ fail loudly instead of silently running defaults.
 """
 
 import numbers
+import sys
 import types
 from dataclasses import fields
 
@@ -39,13 +40,15 @@ def _section(mapping, allowed, where):
     if not isinstance(mapping, dict):
         raise ValueError(f"{where} must be a mapping, got {mapping!r}")
     if unknown := set(mapping) - set(allowed):
-        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ValueError(f"unknown keys in {where}: {sorted(unknown, key=str)}")
     return mapping
 
 
 def _fits(value, kind):
     if isinstance(kind, types.UnionType):
         return any(_fits(value, k) for k in kind.__args__)
+    if kind is float and isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
+        return False  # an integer that no float can hold
     return isinstance(value, _NUMBERS.get(kind, kind)) and (kind is bool or not isinstance(value, bool))
 
 
@@ -110,6 +113,10 @@ def training_config_from_dict(mapping):
 
 
 def load_training_config(path):
+    """The TrainConfig a YAML file describes; ValueError naming ``path`` if it does not read as YAML."""
     with open(path) as fh:
-        mapping = yaml.safe_load(fh) or {}
+        try:
+            mapping = yaml.safe_load(fh) or {}
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: undecodable bytes, a bad timestamp
+            raise ValueError(f"{path} does not read as YAML: {' '.join(str(exc).split())}") from exc
     return training_config_from_dict(mapping)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import airspace, config as config_mod, numerics as nm, policy as policy_mod, ppo
-from .airspace import KT, Advisory, EnvKind, ScenarioError, SectorParams, make_world, write_event_log
+from .airspace import KT, Advisory, EnvKind, SectorParams, make_world, write_event_log
 from .featurize import EgoObservation
 from .numerics import NumericsError, Tensor, finite_diff_check
 from .policy import PolicyConfig, init_params
@@ -81,7 +81,7 @@ def _fly(episodes):
     """Fly the episodes in lockstep, one shared decision cycle per step; their metrics."""
     while live := [e for e in episodes if not e.world.is_done()]:
         if over := [e.max_steps for e in live if e.steps >= e.max_steps]:
-            raise RuntimeError(f"episode did not terminate within {over[0]} steps")
+            raise ValueError(f"episode did not terminate within {over[0]} steps")
         for e, decided in zip(live, ppo._decision_cycle([e.world for e in live], [e.decide for e in live])):
             e.record(decided[-1])
     return [e.metrics() for e in episodes]
@@ -458,7 +458,7 @@ def cli(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError, KeyError, NumericsError, ScenarioError) as exc:
+    except (OSError, ValueError, NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -68,10 +68,6 @@ class NonFiniteError(NumericsError):
     """A NaN or Inf appeared in tensor data."""
 
 
-class GraphError(NumericsError):
-    """Backward was invoked on something that is not a scalar graph output."""
-
-
 def _finite(data, op=None):
     """``data`` as a float64 array, exactly screened for NaN/Inf with no numpy error state
     (a NaN or Inf makes the sum of squares, one BLAS dot, non-finite; finite values whose
@@ -511,7 +507,7 @@ def backward(loss):
     gradient, so never change a gradient in place; assign a new array.
     """
     if loss.data.shape != ():
-        raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+        raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     one = np.ones((), dtype=np.float64)
     if loss.backward_fn is None:
         if loss.requires_grad:
@@ -612,16 +608,33 @@ def save_checkpoint(path, arrays, meta=None):
 
 
 def load_checkpoint(path):
-    """Read back (arrays, meta) written by :func:`save_checkpoint`; ValueError if it is no such archive."""
+    """Read back (arrays, meta) written by :func:`save_checkpoint`. Any other file, an entry that is not
+    a finite float64 array, or metadata that is not a JSON object of this version is a ValueError naming it."""
     try:
-        with np.load(path, allow_pickle=False) as z:
-            if _META_KEY not in z:
-                raise ValueError(f"{path} is not a parameter checkpoint (missing metadata)")
-            meta = json.loads(str(z[_META_KEY]))
-            version = meta.get("format_version")
-            if version != CHECKPOINT_FORMAT_VERSION:
-                raise ValueError(f"unsupported checkpoint format_version {version!r}")
-            arrays = {name: z[name] for name in z.files if name != _META_KEY}
-    except (zipfile.BadZipFile, EOFError) as exc:
+        archive = np.load(path, allow_pickle=False)
+        if isinstance(archive, np.lib.npyio.NpzFile):
+            with archive:
+                arrays = {name: archive[name] for name in archive.files}
+    # a damaged zip header can also read as encrypted or compressed (RuntimeError, NotImplementedError)
+    except (zipfile.BadZipFile, EOFError, ValueError, RuntimeError) as exc:
         raise ValueError(f"{path} does not read as a checkpoint archive: {exc}") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path} is not a checkpoint archive: it holds a single array")
+    if _META_KEY not in arrays:
+        raise ValueError(f"{path} is not a parameter checkpoint (missing metadata)")
+    try:
+        meta = json.loads(str(arrays.pop(_META_KEY)))
+    except ValueError as exc:
+        raise ValueError(f"{path} has unreadable metadata: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path} has metadata that is not a JSON object: {type(meta).__name__}")
+    if (version := meta.get("format_version")) != CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(f"{path} has unsupported checkpoint format_version {version!r}")
+    for name, array in arrays.items():
+        if not isinstance(array, np.ndarray) or array.dtype != np.float64:
+            raise ValueError(f"{path} is not a parameter checkpoint: {name} is not a float64 array")
+        try:
+            _finite(array)
+        except NonFiniteError:
+            raise ValueError(f"{path} holds non-finite values in {name}") from None
     return arrays, meta

@@ -69,6 +69,11 @@ class ValueNormalizer:
     mean: float = 0.0
     var: float = 1.0
 
+    def __post_init__(self):
+        # written so that NaN fails it
+        if not (self.count >= 0 and -math.inf < self.mean < math.inf and 0.0 <= self.var < math.inf):
+            raise ValueError("count must be >= 0, mean finite and var finite and >= 0")
+
     @property
     def std(self):
         return math.sqrt(max(self.var, VALUE_VAR_FLOOR))
@@ -356,7 +361,9 @@ def load_policy(path):
     """Rebuild (params, meta) from a checkpoint; forward passes are bit-identical.
 
     A checkpoint without value-normalization statistics gets fresh (identity)
-    ones; a missing network block, or metadata that does not fit, raises ValueError.
+    ones. A missing network block, metadata or arrays that do not fit, or
+    anything :func:`numerics.load_checkpoint` rejects (a non-finite weight
+    among them) raises ValueError.
     """
     arrays, meta = nm.load_checkpoint(path)
     if "network" not in meta:
@@ -370,11 +377,11 @@ def load_policy(path):
     missing = set(named) - set(arrays)
     extra = set(arrays) - set(named)
     if missing or extra:
-        raise ValueError(f"checkpoint mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        raise ValueError(f"{path} does not fit its network: missing={sorted(missing)} extra={sorted(extra)}")
     for name, tensor in named.items():
         stored = arrays[name]
         if stored.shape != tensor.data.shape:
-            raise ValueError(f"checkpoint shape mismatch for {name}: {stored.shape}")
+            raise ValueError(f"{path} does not fit its network: {name} has shape {stored.shape}")
         tensor.data = stored.astype(np.float64, copy=True)
     params.value_norm = value_norm
     return params, meta

@@ -468,15 +468,12 @@ def checkpoint_metadata(config, update):
 def train(config, out_dir, log=None):
     """Full training loop: collect, GAE, update; stats CSV and checkpoints on disk."""
     hp = config.hyper
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     root = np.random.SeedSequence(config.seed)
     init_ss, action_ss, shuffle_ss, *env_ss = root.spawn(3 + hp.n_envs)
     if config.init_checkpoint:
         params, _ = policy_mod.load_policy(config.init_checkpoint)
         if params.config != config.network:
-            raise ValueError("init checkpoint network config disagrees with training config")
+            raise ValueError(f"{config.init_checkpoint} holds a network that disagrees with the training config")
     else:
         params = init_params(config.network, np.random.default_rng(init_ss))
     envs = [
@@ -487,6 +484,8 @@ def train(config, out_dir, log=None):
     shuffle_rng = np.random.default_rng(shuffle_ss)
     optimizer = Adam(params.tensors(), lr=hp.learning_rate)
 
+    out = Path(out_dir)  # made only once the init checkpoint and the first worlds have loaded
+    out.mkdir(parents=True, exist_ok=True)
     stats_path = out / "training_stats.csv"
     checkpoint_paths = []
     stats = []

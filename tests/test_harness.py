@@ -126,7 +126,7 @@ def test_run_episode_caps_runaway_worlds():
     route = Route([[0.0, 0.0], [20_000.0, 0.0]])
     spawns = [PendingSpawn(time=0.0, aircraft_id="A", route_index=0, v_des=40.0)]
     world = make_custom_world([route], spawns, sector=SCRIPT_SECTOR)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="did not terminate within 3 steps"):
         run_episode(world, _hold_all, max_steps=3)
 
 
@@ -434,9 +434,10 @@ def test_cli_train_rejects_values_of_the_wrong_type(tmp_path, capsys, section, f
         ("scenario: {env: c, n_aircraft: 0}", "bad value in scenario"),
         ("scenario: {env: headon, n_aircraft: 3}", "bad value in scenario"),
         ("scenario: {env: zz}", "bad value in scenario: env must be one of training, a, b, c, headon, got 'zz'"),
+        ("1: 2\nextra: 3", "unknown keys in training config: [1, 'extra']"),
     ],
     ids=["seed_not_an_integer", "seed_a_bool", "checkpoint_every_negative", "n_aircraft_not_an_integer",
-         "seed_negative", "n_aircraft_zero", "n_aircraft_for_headon", "env_unknown"],
+         "seed_negative", "n_aircraft_zero", "n_aircraft_for_headon", "env_unknown", "keys_of_two_types"],
 )
 def test_cli_train_rejects_values_it_would_coerce(tmp_path, capsys, text, fragment):
     config = tmp_path / "bad.yaml"
@@ -446,6 +447,23 @@ def test_cli_train_rejects_values_it_would_coerce(tmp_path, capsys, text, fragme
     )
     code = cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
     _assert_clean_error(code, capsys, fragment)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "data, fragment",
+    [(b"seed: [1\n", "expected ',' or ']'"),
+     (b"seed: \xff\n", "'utf-8' codec can't decode byte 0xff"),
+     (b"seed: 2020-13-45\n", "month must be in 1..12")],
+    ids=["syntax_error", "not_utf8", "impossible_date"],
+)
+def test_cli_train_names_a_config_that_does_not_read_as_yaml(tmp_path, capsys, data, fragment):
+    config = tmp_path / "bad.yaml"
+    config.write_bytes(data)
+    code = cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    err = _assert_clean_error(code, capsys, fragment)
+    assert err.startswith(f"error: {config} does not read as YAML: ")
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "run").exists()
 
 
@@ -481,15 +499,22 @@ def _tiny_with(section, key, value):
 
 
 def _wrong_type_cases():
-    """``true`` in every int or float field, and ``"30"`` in every sector key."""
+    """``true`` in every int or float field, an integer too large for a float (10**400) in
+    every float field, and ``"30"`` and 10**400 in every sector key."""
     numeric = [
         pytest.param(section or "training config", _tiny_with(section, key, True),
                      id=f"{section or 'top'}.{key}")
         for section, key in _yaml_fields(int, float)
     ]
+    numeric += [
+        pytest.param(section or "training config", _tiny_with(section, key, 10**400),
+                     id=f"{section or 'top'}.{key}=10**400")
+        for section, key in _yaml_fields(float)
+    ]
     sector = [
-        pytest.param("sector", _tiny_with("scenario", "sector", {key: "30"}), id=f"sector.{key}")
+        pytest.param("sector", _tiny_with("scenario", "sector", {key: value}), id=f"sector.{key}{label}")
         for key in _SECTOR_FIELDS
+        for value, label in (("30", ""), (10**400, "=10**400"))
     ]
     return numeric + sector
 
@@ -504,8 +529,8 @@ def test_cli_train_rejects_a_bool_number_and_a_string_sector_value(tmp_path, cap
 
 
 def _out_of_range_cases():
-    """NaN and +inf in every float field and sector key, and each rate, coefficient,
-    reward weight and sector buffer below its lower bound."""
+    """NaN and +inf in every float field and sector key, each rate, coefficient, reward
+    weight, sector buffer and r_nmac below its lower bound, and a zero v_max."""
     cases = [
         pytest.param(section, _tiny_with(section, key, value), id=f"{section}.{key}={value}")
         for section, key in _yaml_fields(float)
@@ -526,8 +551,11 @@ def _out_of_range_cases():
               for section, key, value in below]
     cases += [
         pytest.param("sector", _tiny_with("scenario", "sector", {key: -1.0}), id=f"sector.{key}=-1.0")
-        for key in ("arrival_capture_radius_m", "timeout_buffer_min")
+        for key in ("arrival_capture_radius_m", "timeout_buffer_min", "r_nmac_ft")
     ]
+    cases.append(
+        pytest.param("sector", _tiny_with("scenario", "sector", {"v_max_kt": 0.0}), id="sector.v_max_kt=0.0")
+    )
     return cases
 
 
@@ -587,6 +615,20 @@ def test_cli_rejects_checkpoint_network_values_out_of_range(tmp_path, capsys, co
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["eval", "--episodes", "1"], ["rollout-dump"]], ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    "key, value", [("mean", float("nan")), ("var", float("inf")), ("var", -1.0), ("count", -1)]
+)
+def test_cli_rejects_checkpoint_value_statistics_out_of_range(tmp_path, capsys, command, key, value):
+    params = init_params(PolicyConfig(d_emb=16, d_ff=32, heads=4, layers=1), np.random.default_rng(1))
+    statistics = dict(asdict(params.value_norm), **{key: value})
+    meta = {"network": asdict(params.config), "value_normalization": statistics}
+    ckpt = save_checkpoint(tmp_path / "odd", params.named_parameters(), meta)
+    code = cli([*command, "--checkpoint", str(ckpt), "--case", "headon", "--out", str(tmp_path / "out")])
+    _assert_clean_error(code, capsys, "error: bad value in checkpoint value_normalization: ")
+    assert not (tmp_path / "out").exists()
+
+
 def _checkpoint_cut_in_half(tmp_path):
     params = init_params(PolicyConfig(d_emb=16, d_ff=32, heads=4, layers=1), np.random.default_rng(1))
     path = Path(save_policy(tmp_path / "cut", params))
@@ -600,13 +642,61 @@ def _checkpoint_without_network(tmp_path):
     return Path(save_checkpoint(tmp_path / "bare", params.named_parameters()))
 
 
-@pytest.mark.parametrize("command", [["eval", "--episodes", "1"], ["rollout-dump"]], ids=lambda c: c[0])
-@pytest.mark.parametrize(
+def _plain_npy(tmp_path):
+    path = tmp_path / "plain.npy"
+    np.save(path, np.zeros(3))
+    return path
+
+
+def _text_named_npz(tmp_path):
+    path = tmp_path / "text.npz"
+    path.write_text("seed: 3\n")
+    return path
+
+
+def _archive(tmp_path, meta_json, **arrays):
+    """An .npz with ``__meta__`` set to the string ``meta_json`` and the given entries."""
+    path = tmp_path / "odd.npz"
+    np.savez(path, __meta__=np.array(meta_json), **arrays)
+    return path
+
+
+def _object_arrays(tmp_path):
+    return _archive(tmp_path, '{"format_version": 1}', w=np.array([{"a": 1}], dtype=object))
+
+
+def _metadata_not_json(tmp_path):
+    return _archive(tmp_path, "{format_version: 1", w=np.zeros(3))
+
+
+def _metadata_a_list(tmp_path):
+    return _archive(tmp_path, "[1, 2]", w=np.zeros(3))
+
+
+def _nan_weight(tmp_path):
+    params = init_params(PolicyConfig(d_emb=16, d_ff=32, heads=4, layers=1), np.random.default_rng(1))
+    arrays = {name: t.data.copy() for name, t in params.named_parameters().items()}
+    arrays["intr_w"][2, 5] = np.nan
+    return Path(save_checkpoint(tmp_path / "nan", arrays, {"network": asdict(params.config)}))
+
+
+_UNREADABLE_CHECKPOINTS = pytest.mark.parametrize(
     "make, fragment",
     [(_checkpoint_cut_in_half, "does not read as a checkpoint archive"),
-     (_checkpoint_without_network, "has no network block")],
-    ids=["cut_in_half", "no_network_block"],
+     (_checkpoint_without_network, "has no network block"),
+     (_plain_npy, "is not a checkpoint archive: it holds a single array"),
+     (_text_named_npz, "does not read as a checkpoint archive"),
+     (_object_arrays, "does not read as a checkpoint archive"),
+     (_metadata_not_json, "has unreadable metadata"),
+     (_metadata_a_list, "has metadata that is not a JSON object"),
+     (_nan_weight, "holds non-finite values in intr_w")],
+    ids=["cut_in_half", "no_network_block", "plain_npy", "text_named_npz", "object_arrays",
+         "metadata_not_json", "metadata_a_list", "nan_weight"],
 )
+
+
+@pytest.mark.parametrize("command", [["eval", "--episodes", "1"], ["rollout-dump"]], ids=lambda c: c[0])
+@_UNREADABLE_CHECKPOINTS
 def test_cli_rejects_an_unreadable_checkpoint(tmp_path, capsys, command, make, fragment):
     ckpt = make(tmp_path)
     code = cli([*command, "--checkpoint", str(ckpt), "--case", "headon", "--out", str(tmp_path / "out")])
@@ -614,6 +704,28 @@ def test_cli_rejects_an_unreadable_checkpoint(tmp_path, capsys, command, make, f
     assert str(ckpt) in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+@_UNREADABLE_CHECKPOINTS
+def test_cli_train_rejects_an_unreadable_init_checkpoint(tmp_path, capsys, make, fragment):
+    ckpt = make(tmp_path)
+    config = tmp_path / "init.yaml"
+    config.write_text(yaml.safe_dump(_tiny_with(None, "init_checkpoint", str(ckpt))))
+    code = cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    err = _assert_clean_error(code, capsys, fragment)
+    assert str(ckpt) in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_train_rejects_an_init_checkpoint_of_another_network(tmp_path, capsys):
+    params = init_params(PolicyConfig(d_emb=8, d_ff=16, heads=2, layers=1), np.random.default_rng(1))
+    ckpt = save_policy(tmp_path / "narrow", params)
+    config = tmp_path / "init.yaml"
+    config.write_text(yaml.safe_dump(_tiny_with(None, "init_checkpoint", str(ckpt))))
+    code = cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    _assert_clean_error(code, capsys, f"{ckpt} holds a network that disagrees with the training config")
+    assert not (tmp_path / "run").exists()
 
 
 def test_python_dash_m_airsep_runs_the_cli_without_a_warning(tmp_path):

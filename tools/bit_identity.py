@@ -1,14 +1,24 @@
 """Print sha256 digests of the outputs a speed change must leave bit for bit alone.
 
-Run it once against each side of a change and diff the two outputs:
+    PYTHONPATH=src python tools/bit_identity.py
 
-    PYTHONPATH=src python tools/bit_identity.py > change.txt
-    PYTHONPATH=../parent/src python tools/bit_identity.py > parent.txt
-    diff parent.txt change.txt
+prints a header naming the stack the digests depend on (numpy and scipy
+versions, the BLAS numpy was built with, ``OMP_NUM_THREADS``, the CPU model),
+then one ``<gate> <sha256>`` line per gate. When the header matches the one in
+``tools/bit_identity.expected`` and the default inputs are used, it also
+compares: every line that differs from the file goes to stderr and the exit
+status is 1. On another stack, or with ``--configs`` or ``--checkpoint``, it
+says so and compares nothing. A change that alters the arithmetic on purpose
+regenerates the file with a stdout redirect:
+
+    PYTHONPATH=src python tools/bit_identity.py > tools/bit_identity.expected
+
+To compare two checkouts on a stack the file was not written on, diff the
+outputs of both sides (``PYTHONPATH=../parent/src`` for the other one).
 
 ``airsep`` is imported from ``PYTHONPATH``; the configs come from this
-checkout's ``configs/`` (or ``--configs``). BLAS threads are pinned to 1.
-Each line is ``<gate> <sha256>``:
+checkout's ``configs/`` (or ``--configs``). BLAS threads are pinned to 1. The
+gates:
 
 * ``numerics.gelu`` forward and backward (unit upstream gradient) on a
   fixed grid of 1 M points over [-12, 12];
@@ -46,7 +56,10 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
+import importlib.metadata  # noqa: E402
 import io  # noqa: E402
+import platform  # noqa: E402
+import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -56,6 +69,7 @@ from airsep import airspace, config, harness, numerics as nm, policy, ppo  # noq
 from airsep.featurize import EgoObservation  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+EXPECTED = Path(__file__).resolve().with_suffix(".expected")
 WORLD_SEEDS = range(200)
 WORLD_COUNTS = (None, 1, 3, 16)
 BACKWARD_COUNTS = (0, 1, 3, 7, 15)
@@ -168,16 +182,62 @@ def cli_gates(checkpoint, work):
             yield f"cli.{name}.{path.name}", sha(path.read_bytes())
 
 
+def cpu_model():
+    with contextlib.suppress(OSError):
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    return platform.processor() or platform.machine()
+
+
+def stack_header():
+    """One ``# name value`` line for each part of the stack that the digests depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [
+        f"# numpy {np.__version__}",
+        f"# scipy {importlib.metadata.version('scipy')}",
+        f"# blas {blas['name']} {blas['version']}",
+        f"# OMP_NUM_THREADS {os.environ['OMP_NUM_THREADS']}",
+        f"# cpu {cpu_model()}",
+    ]
+
+
+def compare(header, lines):
+    """1 if ``lines`` differ from the expected file written on this stack, else 0; the verdict goes to stderr."""
+    if not EXPECTED.exists():
+        print(f"no {EXPECTED.name}; nothing compared", file=sys.stderr)
+        return 0
+    expected = EXPECTED.read_text().splitlines()
+    if (old_header := [line for line in expected if line.startswith("#")]) != header:
+        print(f"{EXPECTED.name} was written on another stack; nothing compared:", file=sys.stderr)
+        for theirs, ours in zip(old_header, header):
+            if theirs != ours:
+                print(f"  file: {theirs[2:]} | here: {ours[2:]}", file=sys.stderr)
+        return 0
+    want = dict(line.split(" ", 1) for line in expected if not line.startswith("#"))
+    got = dict(line.split(" ", 1) for line in lines)
+    differing = [gate for gate in {**want, **got} if want.get(gate) != got.get(gate)]
+    for gate in differing:
+        print(f"differs: {gate} expected {want.get(gate, '(absent)')} got {got.get(gate, '(absent)')}",
+              file=sys.stderr)
+    print(f"{len(differing)} of {len(want)} lines differ from {EXPECTED.name}", file=sys.stderr)
+    return 1 if differing else 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--configs", type=Path, default=ROOT / "configs")
     parser.add_argument("--checkpoint", type=Path, default=None, help="policy checkpoint for the eval gates")
     args = parser.parse_args()
+    header = stack_header()
+    print("\n".join(header), flush=True)
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         checkpoint = args.checkpoint or fixed_checkpoint(work)
-        print("checkpoint", sha(Path(checkpoint).read_bytes()), flush=True)
         gates = (
+            [("checkpoint", sha(Path(checkpoint).read_bytes()))],
             gelu_gates(),
             backward_gates(),
             world_gates(),
@@ -187,8 +247,13 @@ def main():
             cli_gates(checkpoint, work),
         )
         for gate, digest in (pair for group in gates for pair in group):
-            print(gate, digest, flush=True)
+            lines.append(f"{gate} {digest}")
+            print(lines[-1], flush=True)
+    if args.checkpoint or args.configs != parser.get_default("configs"):
+        print(f"custom inputs: nothing compared with {EXPECTED.name}", file=sys.stderr)
+        return 0
+    return compare(header, lines)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
