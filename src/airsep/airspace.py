@@ -525,13 +525,17 @@ def generate_training_sector(rng, sector=None):
 
     All four endpoints are drawn uniformly in the disk and rejection-resampled
     as a group until every pairwise endpoint distance is at least 5 NM;
-    traversal direction of each route is then chosen uniformly.
+    traversal direction of each route is then chosen uniformly. Four such points
+    fit only in a disk of radius above 5 NM / sqrt 2 (an inscribed square's corners).
     """
     sector = sector or SectorParams()
+    radius, bound = sector.sector_radius, MIN_ENDPOINT_SEPARATION / math.sqrt(2.0)
+    if radius <= bound:
+        raise ValueError(f"training sector_radius {radius / NM:g} NM must exceed {bound / NM:.4g} NM")
     for _ in range(ENDPOINT_RESAMPLE_CAP):
-        pts = [_uniform_disk_point(rng, sector.sector_radius) for _ in range(4)]
+        pts = [_uniform_disk_point(rng, radius) for _ in range(4)]
         ok = all(
-            np.linalg.norm(pts[i] - pts[j]) >= MIN_ENDPOINT_SEPARATION
+            separation(pts[i] - pts[j]) >= MIN_ENDPOINT_SEPARATION
             for i in range(4)
             for j in range(i + 1, 4)
         )
@@ -542,7 +546,9 @@ def generate_training_sector(rng, sector=None):
                     a, b = b, a
                 routes.append(Route([a, b]))
             return routes
-    raise ValueError(f"no admissible endpoints after {ENDPOINT_RESAMPLE_CAP} draws")
+    raise ValueError(
+        f"no admissible endpoints in sector_radius {radius / NM:g} NM after {ENDPOINT_RESAMPLE_CAP} draws"
+    )
 
 
 def _merge_routes(sector, crossing):

@@ -33,18 +33,6 @@ class EgoObservation:
         return self.intruders.shape[-2]
 
 
-def stack_observations(views, worlds=()):
-    """One stacked observation of views with equal intruder counts, in order.
-
-    Given the ``worlds`` the views cover (every active aircraft, world by world in id
-    order), the intruder rows are the worlds' pairwise passes, uncopied for one world.
-    """
-    passes = [pair_geometry(w).intruders for w in worlds if len(w.aircraft) > 1]
-    passes = passes or [np.stack([v.intruders for v in views])]
-    intruders = passes[0] if len(passes) == 1 else np.concatenate(passes)
-    return EgoObservation(np.stack([v.ownship for v in views]), intruders)
-
-
 def featurize(world, aircraft_id):
     """Egocentric observation of one active aircraft.
 

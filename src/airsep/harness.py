@@ -19,6 +19,7 @@ from .ppo import PolicyAdvisories
 
 ADHERENCE_TOLERANCE = 10.0 * KT
 GRADIENT_TOLERANCE = 1e-4
+MAX_EPISODE_STEPS = 200_000  # decision cycles after which an unfinished episode is an error
 
 TRAJECTORY_HEADER = ("time_s", "aircraft_id", "x_m", "y_m", "cas_ms", "v_des_ms", "heading_rad")
 
@@ -49,8 +50,8 @@ AGGREGATE_HEADER = ("scope", "episodes", *(f"mean_{name}" for name in METRIC_NAM
 class _Episode:
     """One world flown to termination under ``decide``, with its metric counters."""
 
-    def __init__(self, world, decide, max_steps=200_000, trajectory=None, events_out=None):
-        self.world, self.decide, self.max_steps = world, decide, max_steps
+    def __init__(self, world, decide, trajectory=None, events_out=None):
+        self.world, self.decide = world, decide
         self.trajectory, self.events_out = trajectory, events_out
         self.steps = self.nmac_count = self.adherent_steps = self.agent_steps = 0
         self.los_seconds, self.max_density = 0.0, len(world.aircraft)
@@ -80,20 +81,23 @@ class _Episode:
 def _fly(episodes):
     """Fly the episodes in lockstep, one shared decision cycle per step; their metrics."""
     while live := [e for e in episodes if not e.world.is_done()]:
-        if over := [e.max_steps for e in live if e.steps >= e.max_steps]:
-            raise ValueError(f"episode did not terminate within {over[0]} steps")
+        if over := [e.world for e in live if e.steps >= MAX_EPISODE_STEPS]:
+            raise ValueError(
+                f"episode did not terminate within {MAX_EPISODE_STEPS} steps of "
+                f"{over[0].sector.decision_interval:g} s ({over[0].clock:g} s simulated)"
+            )
         for e, decided in zip(live, ppo._decision_cycle([e.world for e in live], [e.decide for e in live])):
             e.record(decided[-1])
     return [e.metrics() for e in episodes]
 
 
-def run_episode(world, action_fn, max_steps=200_000, trajectory=None, events_out=None):
+def run_episode(world, action_fn, trajectory=None, events_out=None):
     """Drive one world to termination under ``action_fn(aircraft_id, obs) -> Advisory``.
 
     A :class:`PolicyAdvisories` decides each step with one stacked ``policy.act``.
     Optionally appends trajectory rows / safety events to the provided lists.
     """
-    return _fly([_Episode(world, action_fn, max_steps, trajectory, events_out)])[0]
+    return _fly([_Episode(world, action_fn, trajectory, events_out)])[0]
 
 
 def greedy_action_fn(params):

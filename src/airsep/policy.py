@@ -267,7 +267,8 @@ def _encoder(tokens, key_mask, params):
 
 def pad_observations(observations):
     """Stack observations into ``ownship`` (B, 2), zero-padded ``intruders``
-    (B, T, 7) with T the largest intruder count, and ``counts`` (B,)."""
+    (B, T, 7) with T the largest intruder count, and ``counts`` (B,): a PPO
+    minibatch, or the decision cycle's stack of one intruder count (no padding)."""
     counts = np.array([obs.n_intruders for obs in observations], dtype=np.int64)
     ownship = np.array([obs.ownship for obs in observations], dtype=np.float64).reshape(-1, OWNSHIP_DIM)
     intruders = np.zeros((len(observations), int(counts.max(initial=0)), INTRUDER_DIM))

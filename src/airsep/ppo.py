@@ -26,7 +26,7 @@ import numpy as np
 
 from . import airspace, numerics as nm, policy as policy_mod
 from .airspace import EnvKind, SectorParams, make_world
-from .featurize import featurize, stack_observations
+from .featurize import EgoObservation, featurize
 from .numerics import Tensor
 from .policy import PolicyConfig, forward_batch, init_params
 from .reward import RewardParams, compute_reward
@@ -209,8 +209,8 @@ def _decision_cycle(worlds, deciders):
             groups.setdefault(tag if decide.mode == "greedy" else (*tag, run), []).append(k)
     for members in groups.values():
         decide, views = deciders[members[0]], [obs for k in members for obs in decided[k][1]]
-        stack = stack_observations(views, [worlds[k] for k in members])
-        chosen = policy_mod.act(stack, decide.params, decide.rng, decide.mode)
+        ownship, intruders, _ = policy_mod.pad_observations(views)
+        chosen = policy_mod.act(EgoObservation(ownship, intruders), decide.params, decide.rng, decide.mode)
         bounds = np.cumsum([0] + [len(decided[k][0]) for k in members])
         for k, start, stop in zip(members, bounds, bounds[1:]):
             decided[k][2:] = (rows[start:stop] for rows in chosen)

@@ -122,6 +122,22 @@ def test_training_sector_intersection_angles_cover_range():
     assert np.all(counts > 0), counts
 
 
+@pytest.mark.parametrize("radius", [2.6 * NM, asp.MIN_ENDPOINT_SEPARATION / math.sqrt(2.0)])
+def test_a_training_sector_too_small_for_its_endpoints_fails_before_any_draw(radius):
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    sector = SectorParams(sector_radius=radius, r_pz=1.0 * NM)
+    with pytest.raises(ValueError, match=r"training sector_radius \S+ NM must exceed 3\.536 NM"):
+        make_world("training", rng, sector=sector)
+    assert rng.bit_generator.state == before
+
+
+def test_the_endpoint_resample_cap_names_the_sector_radius(monkeypatch):
+    monkeypatch.setattr(asp, "ENDPOINT_RESAMPLE_CAP", 0)
+    with pytest.raises(ValueError, match="no admissible endpoints in sector_radius 30 NM after 0 draws"):
+        generate_training_sector(np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # evaluation cases
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airsep import numerics as nm
-from airsep.featurize import EgoObservation, stack_observations
+from airsep.featurize import EgoObservation
 from airsep.policy import (
     LAYER_NORM_EPS, PolicyConfig, ValueNormalizer, _encoder, act, forward, forward_batch, forward_tensors,
     init_params, make_cls_token, make_intruder_tokens, pad_observations,
@@ -282,7 +282,7 @@ def _stack_setup(case):
 @given(STACKS)
 def test_stacked_forward_rows_equal_per_observation_forwards(case):
     params, observations = _stack_setup(case)
-    stacked = stack_observations(observations)
+    stacked = EgoObservation(*pad_observations(observations)[:2])
     assert stacked.n_intruders == case["n"]
     logits, values = forward(stacked, params)
     assert logits.shape == (case["rows"], 3) and len(values) == case["rows"]
@@ -296,7 +296,7 @@ def test_stacked_forward_rows_equal_per_observation_forwards(case):
 @given(STACKS)
 def test_stacked_act_rows_equal_per_observation_acts(case):
     params, observations = _stack_setup(case)
-    stacked = stack_observations(observations)
+    stacked = EgoObservation(*pad_observations(observations)[:2])
     greedy = act(stacked, params, mode="greedy")
     assert list(zip(*greedy)) == [act(obs, params, mode="greedy") for obs in observations]
     # sample mode: twin generators draw the same advisories, one draw per row in order

@@ -3,7 +3,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -122,12 +122,13 @@ def test_speed_adherence_seventy_of_one_hundred():
     assert metrics.nmac_count == 0 and metrics.los_seconds == 0.0
 
 
-def test_run_episode_caps_runaway_worlds():
+def test_run_episode_caps_runaway_worlds(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_EPISODE_STEPS", 3)
     route = Route([[0.0, 0.0], [20_000.0, 0.0]])
     spawns = [PendingSpawn(time=0.0, aircraft_id="A", route_index=0, v_des=40.0)]
-    world = make_custom_world([route], spawns, sector=SCRIPT_SECTOR)
-    with pytest.raises(ValueError, match="did not terminate within 3 steps"):
-        run_episode(world, _hold_all, max_steps=3)
+    world = make_custom_world([route], spawns, sector=replace(SCRIPT_SECTOR, decision_interval=0.25))
+    with pytest.raises(ValueError, match=r"did not terminate within 3 steps of 0\.25 s \(0\.75 s simulated\)"):
+        run_episode(world, _hold_all)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +436,12 @@ def test_cli_train_rejects_values_of_the_wrong_type(tmp_path, capsys, section, f
         ("scenario: {env: headon, n_aircraft: 3}", "bad value in scenario"),
         ("scenario: {env: zz}", "bad value in scenario: env must be one of training, a, b, c, headon, got 'zz'"),
         ("1: 2\nextra: 3", "unknown keys in training config: [1, 'extra']"),
+        ("scenario: {env: training, sector: {sector_radius_nm: 2.6, r_pz_nm: 1.0}}",
+         "training sector_radius 2.6 NM must exceed 3.536 NM"),
     ],
     ids=["seed_not_an_integer", "seed_a_bool", "checkpoint_every_negative", "n_aircraft_not_an_integer",
-         "seed_negative", "n_aircraft_zero", "n_aircraft_for_headon", "env_unknown", "keys_of_two_types"],
+         "seed_negative", "n_aircraft_zero", "n_aircraft_for_headon", "env_unknown", "keys_of_two_types",
+         "training_sector_too_small_for_its_endpoints"],
 )
 def test_cli_train_rejects_values_it_would_coerce(tmp_path, capsys, text, fragment):
     config = tmp_path / "bad.yaml"
@@ -446,7 +450,8 @@ def test_cli_train_rejects_values_it_would_coerce(tmp_path, capsys, text, fragme
         "ppo: {updates: 1, n_envs: 1, horizon: 8, batch_size: 8, epochs: 1}\n" + text + "\n"
     )
     code = cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
-    _assert_clean_error(code, capsys, fragment)
+    err = _assert_clean_error(code, capsys, fragment)
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "run").exists()
 
 

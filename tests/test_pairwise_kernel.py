@@ -31,7 +31,8 @@ from airsep.airspace import (
     detect_events,
     step,
 )
-from airsep.featurize import featurize, stack_observations
+from airsep.featurize import featurize
+from airsep.policy import pad_observations
 from airsep.reward import RewardParams, compute_reward
 
 SECTOR = SectorParams()
@@ -376,10 +377,8 @@ def test_single_aircraft_needs_no_pass(monkeypatch):
 
 
 def test_views_and_world_stacks_are_the_pass_itself():
-    # featurize returns read-only rows of the pass; a world's stack is the whole pass, uncopied
+    # featurize returns read-only rows of the pass; a world's padded stack equals the whole pass
     world = WorldState(sector=SECTOR, routes=[], aircraft=_three_aircraft())
-    other = WorldState(sector=SECTOR, routes=[], aircraft=_three_aircraft()[1:])
-    _add(other)
     pairs = airspace.pair_geometry(world)
     assert pairs.intruders.shape == (3, 2, 7) and not pairs.intruders.flags.writeable
     views = [featurize(world, aid) for aid in sorted(world.active_ids())]
@@ -387,14 +386,6 @@ def test_views_and_world_stacks_are_the_pass_itself():
         assert np.shares_memory(obs.intruders, pairs.intruders)
         with pytest.raises(ValueError):
             obs.intruders[0, 0] = 1.0
-    copied = stack_observations(views)
-    stack = stack_observations(views, [world])
-    assert stack.intruders is pairs.intruders
-    assert np.array_equal(stack.ownship, copied.ownship) and np.array_equal(stack.intruders, copied.intruders)
-    other_views = [featurize(other, aid) for aid in sorted(other.active_ids())]
-    both = stack_observations(views + other_views, [world, other])
-    want = stack_observations(views + other_views)
-    assert np.array_equal(both.ownship, want.ownship) and np.array_equal(both.intruders, want.intruders)
-    single = WorldState(sector=SECTOR, routes=[], aircraft=_three_aircraft()[:1])
-    alone = stack_observations([featurize(single, "A")], [single])
-    assert alone.intruders.shape == (1, 0, 7)
+    ownship, intruders, counts = pad_observations(views)
+    assert np.array_equal(intruders, pairs.intruders) and counts.tolist() == [2, 2, 2]
+    assert np.array_equal(ownship, np.stack([obs.ownship for obs in views]))
