@@ -8,7 +8,6 @@ distinct worlds are fully independent.
 """
 
 import bisect
-import csv
 import enum
 import math
 import numbers
@@ -24,6 +23,11 @@ KT = 1852.0 / 3600.0         # knot, m/s
 
 MIN_ENDPOINT_SEPARATION = 5.0 * NM
 ENDPOINT_RESAMPLE_CAP = 10_000
+# smallest training radius on a 0.1 NM grid whose world fails all its draws with probability
+# (1 - p) ** ENDPOINT_RESAMPLE_CAP < 1e-12, p being one draw's pass rate by Monte Carlo
+# over millions of draws: 3.1e-3 at 5.3 NM (3e-14), 2.4e-3 at 5.2 NM (5e-11)
+MIN_TRAINING_SECTOR_RADIUS = 5.3 * NM
+MAX_EPISODE_STEPS = 200_000  # decision cycles after which an unfinished episode is an error
 
 # fixed two-route crossing used by the scaled-down learning scenario
 HEAD_ON_ANGLE = math.radians(160.0)
@@ -525,13 +529,14 @@ def generate_training_sector(rng, sector=None):
 
     All four endpoints are drawn uniformly in the disk and rejection-resampled
     as a group until every pairwise endpoint distance is at least 5 NM;
-    traversal direction of each route is then chosen uniformly. Four such points
-    fit only in a disk of radius above 5 NM / sqrt 2 (an inscribed square's corners).
+    traversal direction of each route is then chosen uniformly. A radius below
+    ``MIN_TRAINING_SECTOR_RADIUS`` is refused before the first draw: four such
+    points fit only above 5 NM / sqrt 2, and are found reliably only from 5.3 NM.
     """
     sector = sector or SectorParams()
-    radius, bound = sector.sector_radius, MIN_ENDPOINT_SEPARATION / math.sqrt(2.0)
-    if radius <= bound:
-        raise ValueError(f"training sector_radius {radius / NM:g} NM must exceed {bound / NM:.4g} NM")
+    radius, bound = sector.sector_radius, MIN_TRAINING_SECTOR_RADIUS
+    if radius < bound:
+        raise ValueError(f"training sector_radius {radius / NM:g} NM must be at least {bound / NM:g} NM")
     for _ in range(ENDPOINT_RESAMPLE_CAP):
         pts = [_uniform_disk_point(rng, radius) for _ in range(4)]
         ok = all(
@@ -668,19 +673,3 @@ def make_custom_world(routes, spawns, sector=None):
     _insert_due_spawns(world)
     return world
 
-
-# ---------------------------------------------------------------------------
-# event log output
-# ---------------------------------------------------------------------------
-
-EVENT_LOG_HEADER = ("time_s", "kind", "id_a", "id_b")
-
-
-def write_event_log(events, path):
-    """One CSV record per safety event: time, kind, the two aircraft ids."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENT_LOG_HEADER)
-        for e in events:
-            writer.writerow([repr(float(e.time)), e.kind.value, e.pair[0], e.pair[1]])
-    return path

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import airspace, config as config_mod, numerics as nm, policy as policy_mod, ppo
-from .airspace import KT, Advisory, EnvKind, SectorParams, make_world, write_event_log
+from .airspace import KT, Advisory, EnvKind, SectorParams, make_world
 from .featurize import EgoObservation
 from .numerics import NumericsError, Tensor, finite_diff_check
 from .policy import PolicyConfig, init_params
@@ -19,8 +19,8 @@ from .ppo import PolicyAdvisories
 
 ADHERENCE_TOLERANCE = 10.0 * KT
 GRADIENT_TOLERANCE = 1e-4
-MAX_EPISODE_STEPS = 200_000  # decision cycles after which an unfinished episode is an error
 
+EVENT_LOG_HEADER = ("time_s", "kind", "id_a", "id_b")
 TRAJECTORY_HEADER = ("time_s", "aircraft_id", "x_m", "y_m", "cas_ms", "v_des_ms", "heading_rad")
 
 
@@ -81,9 +81,9 @@ class _Episode:
 def _fly(episodes):
     """Fly the episodes in lockstep, one shared decision cycle per step; their metrics."""
     while live := [e for e in episodes if not e.world.is_done()]:
-        if over := [e.world for e in live if e.steps >= MAX_EPISODE_STEPS]:
+        if over := [e.world for e in live if e.steps >= airspace.MAX_EPISODE_STEPS]:
             raise ValueError(
-                f"episode did not terminate within {MAX_EPISODE_STEPS} steps of "
+                f"episode did not terminate within {airspace.MAX_EPISODE_STEPS} steps of "
                 f"{over[0].sector.decision_interval:g} s ({over[0].clock:g} s simulated)"
             )
         for e, decided in zip(live, ppo._decision_cycle([e.world for e in live], [e.decide for e in live])):
@@ -181,21 +181,27 @@ def emit_report(metrics, out_dir):
     if not metrics:
         raise ValueError("no episode metrics to report")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    episodes_path = out / "episodes.csv"
-    aggregate_path = out / "aggregate.csv"
-    with open(episodes_path, "w", newline="") as fh:
+    aggregates = [("overall", _aggregate(metrics))]
+    aggregates += [(f"density={density}", agg) for density, agg in _per_density(metrics).items()]
+    return (
+        _write_csv(out / "episodes.csv", EPISODES_HEADER, ([i, *astuple(m)] for i, m in enumerate(metrics))),
+        _write_csv(out / "aggregate.csv", AGGREGATE_HEADER, ([scope, *agg.values()] for scope, agg in aggregates)),
+    )
+
+
+def write_event_log(events, path):
+    """One CSV record per safety event: time, kind, the two aircraft ids."""
+    return _write_csv(path, EVENT_LOG_HEADER, ([repr(float(e.time)), e.kind.value, *e.pair] for e in events))
+
+
+def _write_csv(path, header, rows):
+    """Write ``header``, then ``rows``, as CSV records to ``path``, making its folder; returns ``path``."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(EPISODES_HEADER)
-        for i, m in enumerate(metrics):
-            writer.writerow([i, *astuple(m)])
-    with open(aggregate_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGGREGATE_HEADER)
-        writer.writerow(["overall", *_aggregate(metrics).values()])
-        for density, agg in _per_density(metrics).items():
-            writer.writerow([f"density={density}", *agg.values()])
-    return episodes_path, aggregate_path
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +437,9 @@ def _cmd_rollout_dump(args):
     trajectory, events = [], []
     metrics = run_episode(world, greedy_action_fn(params), trajectory=trajectory, events_out=events)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     events_path = write_event_log(events, out / "events.csv")
-    trajectory_path = out / "trajectory.csv"
-    with open(trajectory_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_HEADER)
-        for row in trajectory:
-            writer.writerow([repr(float(row[0])), row[1]] + [repr(float(x)) for x in row[2:]])
+    rows = ([repr(float(t)), aid, *(repr(float(x)) for x in state)] for t, aid, *state in trajectory)
+    trajectory_path = _write_csv(out / "trajectory.csv", TRAJECTORY_HEADER, rows)
     print(
         f"episode finished: {metrics.nmac_count} NMACs, {metrics.los_seconds:.0f} LoS seconds, "
         f"peak density {metrics.max_density}"

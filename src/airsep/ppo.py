@@ -227,7 +227,8 @@ def collect_rollouts(envs, params, horizon, rng):
     from the value head. Envs whose episode finishes regenerate immediately.
     A step counts against the horizon only if some aircraft is aloft: an env
     with none (before the first spawn, or between spawns) is stepped with no
-    actions until one spawns, so every counted step yields transitions.
+    actions until one spawns, so every counted step yields transitions. A spawn
+    more than ``airspace.MAX_EPISODE_STEPS`` decision intervals away is a ValueError.
     A counted step is one :func:`_decision_cycle` over the envs; a bootstrap, one ``forward``.
     Stored values and bootstraps are in reward units: the value head's
     normalized output de-normalized with the parameters' current statistics.
@@ -242,8 +243,15 @@ def collect_rollouts(envs, params, horizon, rng):
             while env.world.is_done() or not env.world.aircraft:
                 if env.world.is_done():
                     env.regenerate()
-                else:
-                    airspace.step(env.world, {})
+                    continue
+                world = env.world
+                spawn, interval = world.spawn_queue[0].time, world.sector.decision_interval
+                if spawn - world.clock > airspace.MAX_EPISODE_STEPS * interval:
+                    raise ValueError(
+                        f"the next spawn at {spawn:g} s is more than "
+                        f"{airspace.MAX_EPISODE_STEPS} steps of {interval:g} s away"
+                    )
+                airspace.step(world, {})
         decided = _decision_cycle([env.world for env in envs], [policy] * len(envs))
         for env_index, (env, (ids, *chosen, result)) in enumerate(zip(envs, decided)):
             for aid, obs, advisory, log_prob, value in zip(ids, *chosen):
@@ -404,7 +412,6 @@ def ppo_update(params, buffer, hparams, rng, optimizer):
     params.value_norm.update(buffer.lambda_returns)
     ret_all = params.value_norm.normalize(buffer.lambda_returns)
     values_old = params.value_norm.normalize(values_old)
-    ownship, intruders, counts = policy_mod.pad_observations(obs_list)
     tensors = params.tensors()
 
     pol_hist, val_hist, ent_hist, clip_hist, norm_hist = [], [], [], [], []
@@ -415,8 +422,7 @@ def ppo_update(params, buffer, hparams, rng, optimizer):
             mb_adv = adv_all[idx]
             if hparams.advantage_normalization:
                 mb_adv = normalize_advantages(mb_adv)
-            width = int(counts[idx].max())
-            rows = (ownship[idx], intruders[idx, :width], counts[idx])
+            rows = policy_mod.pad_observations([obs_list[i] for i in idx])
             total, policy_loss, value_loss, entropy, ratio = ppo_loss(
                 params, rows, actions[idx], logp_old[idx], mb_adv, ret_all[idx], values_old[idx], hparams
             )

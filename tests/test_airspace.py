@@ -122,14 +122,20 @@ def test_training_sector_intersection_angles_cover_range():
     assert np.all(counts > 0), counts
 
 
-@pytest.mark.parametrize("radius", [2.6 * NM, asp.MIN_ENDPOINT_SEPARATION / math.sqrt(2.0)])
+@pytest.mark.parametrize("radius", [2.6 * NM, asp.MIN_ENDPOINT_SEPARATION / math.sqrt(2.0), 5.0 * NM])
 def test_a_training_sector_too_small_for_its_endpoints_fails_before_any_draw(radius):
     rng = np.random.default_rng(4)
     before = rng.bit_generator.state
     sector = SectorParams(sector_radius=radius, r_pz=1.0 * NM)
-    with pytest.raises(ValueError, match=r"training sector_radius \S+ NM must exceed 3\.536 NM"):
+    with pytest.raises(ValueError, match=r"training sector_radius \S+ NM must be at least 5\.3 NM"):
         make_world("training", rng, sector=sector)
     assert rng.bit_generator.state == before
+
+
+def test_the_smallest_admitted_training_sector_draws_its_endpoints():
+    sector = SectorParams(sector_radius=asp.MIN_TRAINING_SECTOR_RADIUS, r_pz=1.0 * NM)
+    for seed in range(20):
+        assert len(make_world("training", seed, sector=sector).routes) == 2
 
 
 def test_the_endpoint_resample_cap_names_the_sector_radius(monkeypatch):
@@ -646,12 +652,3 @@ def test_make_world_kinds():
         world = make_world(kind, 5)
         assert world.n_spawned + len(world.spawn_queue) >= 1
         assert world.early_termination == (kind == "c")
-
-
-def test_event_log_output(tmp_path):
-    w = _two_aircraft_world([0, 0], [100 * KT, 0], [400 * FT, 0], [100 * KT, 0])
-    events = detect_events(w)
-    path = asp.write_event_log(events, tmp_path / "events.csv")
-    lines = open(path).read().splitlines()
-    assert lines[0] == "time_s,kind,id_a,id_b"
-    assert len(lines) == 1 + len(events)

@@ -8,7 +8,8 @@ at load leaves no output directory.
 
 No mutation raises a count or a width, and a sector value is NaN, an infinity,
 zero, negative or its default scaled by 0.5-2. Each of these but the last is
-rejected or shortens an episode; some other valid extremes fly without end
+rejected or shortens an episode. Smaller valid decision intervals run long: an
+evaluated episode fails only at ``airspace.MAX_EPISODE_STEPS`` decisions
 (CHANGES.md, FOUND).
 """
 

@@ -1,9 +1,10 @@
 """Harness oracles: scripted-trajectory metrics, smoothing, reports, CLI."""
 
+import csv
 import os
 import subprocess
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import yaml
 
 import airsep
-from airsep import harness, ppo
+from airsep import airspace, harness, ppo
 from airsep import policy as policy_module
 from airsep.airspace import (
     Advisory,
@@ -61,42 +62,35 @@ def _hold_all(aid, obs):
 # ---------------------------------------------------------------------------
 
 
-def test_los_seconds_is_exactly_thirty():
-    # A flies east at 40 m/s toward parked B at x = 10_005; A's route ends at
-    # 6_200 m, so separations r_nmac < sep <= r_pz occur at t = 126..155 (30
-    # steps), and A arrives exactly at t = 155 while still inside the zone
-    route_a = Route([[0.0, 0.0], [6_200.0, 0.0]])
+def _a_closing_on_parked_b(a_route_end):
+    """A flies east at 40 m/s along x from 0 to ``a_route_end`` toward B, parked at x = 10_005."""
+    route_a = Route([[0.0, 0.0], [a_route_end, 0.0]])
     route_b = Route([[10_005.0, 0.0], [20_000.0, 0.0]])
     spawns = [
         PendingSpawn(time=0.0, aircraft_id="A", route_index=0, v_des=40.0),
         PendingSpawn(time=0.0, aircraft_id="B", route_index=1, v_des=5.0),
     ]
-    world = make_custom_world([route_a, route_b], spawns, sector=SCRIPT_SECTOR)
+    return make_custom_world([route_a, route_b], spawns, sector=SCRIPT_SECTOR)
 
-    def scripted(aid, obs):
-        return Advisory.DECREASE if aid == "B" else Advisory.HOLD
 
-    metrics = run_episode(world, scripted)
+def _b_parks(aid, obs):
+    return Advisory.DECREASE if aid == "B" else Advisory.HOLD
+
+
+def test_los_seconds_is_exactly_thirty():
+    # A's route ends at 6_200 m, so separations r_nmac < sep <= r_pz occur at
+    # t = 126..155 (30 steps), and A arrives exactly at t = 155 while still inside the zone
+    metrics = run_episode(_a_closing_on_parked_b(6_200.0), _b_parks)
     assert metrics.los_seconds == 30.0
     assert metrics.nmac_count == 0
     assert metrics.max_density == 2
 
 
 def test_nmac_counting_and_pair_removal():
-    # same geometry but A's route passes through B: NMAC fires at t = 238
-    # (sep = 485 m <= 500 m); the 112 prior LoS steps plus the NMAC step count
-    route_a = Route([[0.0, 0.0], [20_000.0, 0.0]])
-    route_b = Route([[10_005.0, 0.0], [20_000.0, 0.0]])
-    spawns = [
-        PendingSpawn(time=0.0, aircraft_id="A", route_index=0, v_des=40.0),
-        PendingSpawn(time=0.0, aircraft_id="B", route_index=1, v_des=5.0),
-    ]
-    world = make_custom_world([route_a, route_b], spawns, sector=SCRIPT_SECTOR)
-
-    def scripted(aid, obs):
-        return Advisory.DECREASE if aid == "B" else Advisory.HOLD
-
-    metrics = run_episode(world, scripted)
+    # A's route passes through B: NMAC fires at t = 238 (sep = 485 m <= 500 m);
+    # the 112 prior LoS steps plus the NMAC step count
+    world = _a_closing_on_parked_b(20_000.0)
+    metrics = run_episode(world, _b_parks)
     assert metrics.nmac_count == 1
     assert metrics.los_seconds == 113.0
     assert world.is_done()
@@ -123,7 +117,7 @@ def test_speed_adherence_seventy_of_one_hundred():
 
 
 def test_run_episode_caps_runaway_worlds(monkeypatch):
-    monkeypatch.setattr(harness, "MAX_EPISODE_STEPS", 3)
+    monkeypatch.setattr(airspace, "MAX_EPISODE_STEPS", 3)
     route = Route([[0.0, 0.0], [20_000.0, 0.0]])
     spawns = [PendingSpawn(time=0.0, aircraft_id="A", route_index=0, v_des=40.0)]
     world = make_custom_world([route], spawns, sector=replace(SCRIPT_SECTOR, decision_interval=0.25))
@@ -200,6 +194,62 @@ def test_emit_report_deterministic_bytes(tmp_path):
 def test_emit_report_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
         emit_report([], tmp_path)
+
+
+def test_event_log_output(tmp_path):
+    events = []
+    run_episode(_a_closing_on_parked_b(20_000.0), _b_parks, events_out=events)
+    path = harness.write_event_log(events, tmp_path / "log" / "events.csv")
+    lines = path.read_text().splitlines()
+    assert lines[0] == "time_s,kind,id_a,id_b"
+    assert lines[1:] == [f"{e.time!r},{e.kind.value},{e.pair[0]},{e.pair[1]}" for e in events]
+    assert {e.kind for e in events} == set(airspace.EventKind)
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return tuple(header), rows
+
+
+def _assert_rows_equal(rows, expected):
+    """Each CSV field, read as the type of the library value it stands for, equals that value."""
+    assert len(rows) == len(expected)
+    for row, values in zip(rows, expected):
+        assert [type(v)(field) for field, v in zip(row, values, strict=True)] == list(values)
+
+
+def test_report_files_read_back_equal_the_library(tmp_path, capsys):
+    params, sector = _compact_policy(3), SectorParams(decision_interval=10.0)
+    ckpt = save_policy(tmp_path / "policy", params, meta={"sector_si": asdict(sector)})
+    eval_dir, dump_dir = tmp_path / "eval", tmp_path / "dump"
+    assert cli(["eval", "--checkpoint", str(ckpt), "--case", "c", "--episodes", "3", "--seed", "4",
+                "--out", str(eval_dir)]) == 0
+    assert cli(["rollout-dump", "--checkpoint", str(ckpt), "--case", "c", "--seed", "9",
+                "--out", str(dump_dir)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in eval_dir.iterdir()) == ["aggregate.csv", "episodes.csv"]
+    assert sorted(p.name for p in dump_dir.iterdir()) == ["events.csv", "trajectory.csv"]
+
+    result = evaluate(params, "c", 3, 4, sector=sector)
+    header, rows = _read_csv(eval_dir / "episodes.csv")
+    assert header == harness.EPISODES_HEADER
+    _assert_rows_equal(rows, [(i, *astuple(m)) for i, m in enumerate(result.episodes)])
+    header, rows = _read_csv(eval_dir / "aggregate.csv")
+    assert header == harness.AGGREGATE_HEADER
+    scopes = [("overall", result.aggregate)] + [(f"density={d}", a) for d, a in result.per_density.items()]
+    _assert_rows_equal(rows, [(scope, *agg.values()) for scope, agg in scopes])
+
+    trajectory, events = [], []
+    world = make_world("c", np.random.default_rng(9), sector=sector)
+    run_episode(world, greedy_action_fn(params), trajectory=trajectory, events_out=events)
+    header, rows = _read_csv(dump_dir / "trajectory.csv")
+    assert header == harness.TRAJECTORY_HEADER
+    _assert_rows_equal(rows, trajectory)
+    header, rows = _read_csv(dump_dir / "events.csv")
+    assert header == harness.EVENT_LOG_HEADER
+    _assert_rows_equal(rows, [(e.time, e.kind.value, *e.pair) for e in events])
+    assert len(trajectory) > 100 and events
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +487,7 @@ def test_cli_train_rejects_values_of_the_wrong_type(tmp_path, capsys, section, f
         ("scenario: {env: zz}", "bad value in scenario: env must be one of training, a, b, c, headon, got 'zz'"),
         ("1: 2\nextra: 3", "unknown keys in training config: [1, 'extra']"),
         ("scenario: {env: training, sector: {sector_radius_nm: 2.6, r_pz_nm: 1.0}}",
-         "training sector_radius 2.6 NM must exceed 3.536 NM"),
+         "training sector_radius 2.6 NM must be at least 5.3 NM"),
     ],
     ids=["seed_not_an_integer", "seed_a_bool", "checkpoint_every_negative", "n_aircraft_not_an_integer",
          "seed_negative", "n_aircraft_zero", "n_aircraft_for_headon", "env_unknown", "keys_of_two_types",
@@ -731,6 +781,27 @@ def test_cli_train_rejects_an_init_checkpoint_of_another_network(tmp_path, capsy
     code = cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
     _assert_clean_error(code, capsys, f"{ckpt} holds a network that disagrees with the training config")
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_train_fails_at_once_on_a_spawn_it_cannot_reach(tmp_path):
+    # at 1e-300 s per step the clock stops short of the first spawn, which an
+    # empty world would otherwise fly toward for ever
+    config = tmp_path / "tiny_interval.yaml"
+    config.write_text(
+        "scenario: {env: training, sector: {decision_interval_s: 1.0e-300}}\n"
+        "network: {d_emb: 8, d_ff: 16, heads: 2, layers: 1}\n"
+        "ppo: {updates: 1, n_envs: 1, horizon: 8, batch_size: 8, epochs: 1}\n"
+    )
+    src = str(Path(airsep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "airsep", "train", "--config", str(config), "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: the next spawn at ")
+    assert "is more than 200000 steps of 1e-300 s away" in proc.stderr
 
 
 def test_python_dash_m_airsep_runs_the_cli_without_a_warning(tmp_path):
