@@ -359,6 +359,13 @@ def run_gradient_suite(seed=0, op_seeds=100, io=None):
 
 
 def _build_parser():
+    def at_least(minimum):  # an argparse type, so that an error names the flag and exits 2
+        def integer(text):
+            if int(text) < minimum:
+                raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+            return int(text)
+        return integer
+
     parser = argparse.ArgumentParser(
         prog="airsep",
         description="Speed-advisory separation assurance: training, evaluation, diagnostics.",
@@ -368,23 +375,23 @@ def _build_parser():
     p_train = sub.add_parser("train", help="run PPO training from a YAML config")
     p_train.add_argument("--config", required=True, help="training config path")
     p_train.add_argument("--out", default="runs/train", help="output directory")
-    p_train.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_train.add_argument("--seed", type=at_least(0), default=None, help="override the config seed")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint with greedy advisories")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--case", choices=config_mod.ENV_NAMES, default="a")
     p_eval.add_argument("--episodes", type=int, default=100)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=at_least(0), default=0)
     p_eval.add_argument("--out", default="runs/eval")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference the numerics and policy stack")
-    p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--op-seeds", type=int, default=100)
+    p_grad.add_argument("--seed", type=at_least(0), default=0)
+    p_grad.add_argument("--op-seeds", type=at_least(1), default=100)
 
     p_dump = sub.add_parser("rollout-dump", help="write one episode's event log and trajectory")
     p_dump.add_argument("--checkpoint", default=None, help="policy checkpoint (fresh init if omitted)")
     p_dump.add_argument("--case", choices=config_mod.ENV_NAMES, default="training")
-    p_dump.add_argument("--seed", type=int, default=0)
+    p_dump.add_argument("--seed", type=at_least(0), default=0)
     p_dump.add_argument("--out", default="runs/rollout")
     return parser
 

@@ -5,7 +5,8 @@ contributes a fixed-length stream of steps per update; every active agent
 contributes one transition per step, and removals terminate an agent's track
 (bootstrap 0) while horizon truncation bootstraps the value of the last
 observation. Transitions from all agents and envs are pooled, shuffled and
-optimized in minibatches.
+optimized in minibatches. :func:`train` is only a loop of :func:`run_update`
+on the :class:`TrainState` that :func:`start_training` builds, plus its files.
 
 The critic is trained on normalized value targets. The parameters carry
 running mean/std statistics of every lambda-return seen so far
@@ -471,54 +472,71 @@ def checkpoint_metadata(config, update):
     }
 
 
-def train(config, out_dir, log=None):
-    """Full training loop: collect, GAE, update; stats CSV and checkpoints on disk."""
+@dataclass
+class TrainState:
+    """Everything an update reads and writes; ``update`` is the index of the next one."""
+
+    config: TrainConfig
+    params: object
+    optimizer: Adam
+    envs: list
+    action_rng: np.random.Generator
+    shuffle_rng: np.random.Generator
+    update: int = 0
+
+
+def start_training(config):
+    """A run before its first update. Seeds spawn in the order init, action, shuffle, one per env. Writes no file."""
     hp = config.hyper
-    root = np.random.SeedSequence(config.seed)
-    init_ss, action_ss, shuffle_ss, *env_ss = root.spawn(3 + hp.n_envs)
+    seeds = np.random.SeedSequence(config.seed).spawn(3 + hp.n_envs)
+    init_rng, action_rng, shuffle_rng, *env_rngs = (np.random.default_rng(ss) for ss in seeds)
     if config.init_checkpoint:
         params, _ = policy_mod.load_policy(config.init_checkpoint)
         if params.config != config.network:
             raise ValueError(f"{config.init_checkpoint} holds a network that disagrees with the training config")
     else:
-        params = init_params(config.network, np.random.default_rng(init_ss))
-    envs = [
-        SectorEnv(config.scenario, np.random.default_rng(ss), reward_params=config.reward)
-        for ss in env_ss
-    ]
-    action_rng = np.random.default_rng(action_ss)
-    shuffle_rng = np.random.default_rng(shuffle_ss)
-    optimizer = Adam(params.tensors(), lr=hp.learning_rate)
+        params = init_params(config.network, init_rng)
+    envs = [SectorEnv(config.scenario, rng, reward_params=config.reward) for rng in env_rngs]
+    return TrainState(config, params, Adam(params.tensors(), lr=hp.learning_rate), envs, action_rng, shuffle_rng)
 
+
+def run_update(state):
+    """One update on ``state``: collect, GAE, :func:`ppo_update`. Returns ``(stats, buffer)``."""
+    hp = state.config.hyper
+    buffer = collect_rollouts(state.envs, state.params, hp.horizon, state.action_rng)
+    compute_gae(buffer, hp.gamma, hp.gae_lambda)
+    stats = ppo_update(state.params, buffer, hp, state.shuffle_rng, state.optimizer)
+    stats.update = state.update
+    state.update += 1
+    return stats, buffer
+
+
+def train(config, out_dir, log=None):
+    """:func:`run_update` from :func:`start_training` to ``hyper.updates``; stats CSV and checkpoints on disk."""
+    hp = config.hyper
+    state = start_training(config)
     out = Path(out_dir)  # made only once the init checkpoint and the first worlds have loaded
     out.mkdir(parents=True, exist_ok=True)
     stats_path = out / "training_stats.csv"
-    checkpoint_paths = []
-    stats = []
+    checkpoint_paths, stats = [], []
     with open(stats_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(STATS_HEADER)
-        for update in range(hp.updates):
-            buffer = collect_rollouts(envs, params, hp.horizon, action_rng)
-            compute_gae(buffer, hp.gamma, hp.gae_lambda)
-            st = ppo_update(params, buffer, hp, shuffle_rng, optimizer)
-            st.update = update
+        while state.update < hp.updates:
+            st, buffer = run_update(state)
             stats.append(st)
             writer.writerow(st.csv_row())
             fh.flush()
-            if config.checkpoint_every and (update + 1) % config.checkpoint_every == 0:
+            if config.checkpoint_every and state.update % config.checkpoint_every == 0:
                 path = policy_mod.save_policy(
-                    out / f"checkpoint_{update + 1:04d}", params, checkpoint_metadata(config, update)
+                    out / f"checkpoint_{state.update:04d}", state.params, checkpoint_metadata(config, st.update)
                 )
                 checkpoint_paths.append(Path(path))
             if log:
-                log(
-                    f"update {update + 1}/{hp.updates}: "
-                    f"return {st.mean_lambda_return:.3f} entropy {st.mean_entropy:.3f} "
-                    f"transitions {len(buffer)}"
-                )
+                log(f"update {state.update}/{hp.updates}: return {st.mean_lambda_return:.3f} "
+                    f"entropy {st.mean_entropy:.3f} transitions {len(buffer)}")
     final = policy_mod.save_policy(
-        out / "checkpoint_final", params, checkpoint_metadata(config, hp.updates - 1)
+        out / "checkpoint_final", state.params, checkpoint_metadata(config, hp.updates - 1)
     )
     checkpoint_paths.append(Path(final))
-    return TrainResult(stats=stats, params=params, stats_path=stats_path, checkpoint_paths=checkpoint_paths)
+    return TrainResult(stats=stats, params=state.params, stats_path=stats_path, checkpoint_paths=checkpoint_paths)

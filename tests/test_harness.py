@@ -848,6 +848,29 @@ def test_cli_rollout_dump_rejects_unknown_sector_metadata(tmp_path, capsys):
     _assert_clean_error(code, capsys, "wind")
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["train", "--config", "x.yaml", "--seed", "-1"], "--seed"),
+        (["eval", "--checkpoint", "x", "--seed", "-1"], "--seed"),
+        (["gradcheck", "--seed", "-1"], "--seed"),
+        (["rollout-dump", "--seed", "-1"], "--seed"),
+        (["gradcheck", "--op-seeds", "0"], "--op-seeds"),
+        (["gradcheck", "--op-seeds", "-1"], "--op-seeds"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_cli_refuses_a_count_below_its_minimum_naming_the_flag(tmp_path, monkeypatch, capsys, argv, flag):
+    # a gradcheck over no primitive must not pass, and a negative seed must not reach the library
+    monkeypatch.chdir(tmp_path)
+    assert cli(argv) == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: must be at least " in captured.err
+    assert "Traceback" not in captured.err
+    assert "max relative error" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_gradcheck_quick(capsys):
     assert cli(["gradcheck", "--op-seeds", "2"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 """PPO trainer oracles: GAE recursions, buffer accounting, update mechanics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,8 @@ from airsep.ppo import (
     compute_gae,
     normalize_advantages,
     ppo_update,
+    run_update,
+    start_training,
     train,
 )
 from airsep.reward import RewardParams
@@ -420,6 +423,23 @@ def test_train_writes_stats_and_checkpoints(tmp_path):
         assert p.exists()
 
 
+def test_two_run_updates_equal_train_with_two_updates(tmp_path, monkeypatch):
+    cfg = dataclasses.replace(_tiny_config(updates=2), checkpoint_every=0)
+    monkeypatch.chdir(tmp_path)
+    state = start_training(cfg)
+    assert list(tmp_path.iterdir()) == []  # building the state writes nothing
+    stats, buffers = zip(*(run_update(state) for _ in range(2)))
+    result = train(cfg, tmp_path / "run")
+    assert list(stats) == result.stats
+    assert state.update == 2
+    trained = result.params.named_parameters()
+    for name, tensor in state.params.named_parameters().items():
+        assert tensor.data.tobytes() == trained[name].data.tobytes(), name
+    assert state.params.value_norm == result.params.value_norm
+    hp = cfg.hyper
+    assert state.optimizer.t == sum(hp.epochs * math.ceil(len(b) / hp.batch_size) for b in buffers)
+
+
 def test_train_resume_from_checkpoint(tmp_path, monkeypatch):
     result = train(_tiny_config(updates=1), tmp_path / "first")
     saved = result.params.value_norm
@@ -427,8 +447,6 @@ def test_train_resume_from_checkpoint(tmp_path, monkeypatch):
     loaded, _ = load_policy(result.checkpoint_paths[-1])
     assert loaded.value_norm == saved  # bit-exact through the checkpoint metadata
     cfg = _tiny_config(updates=1)
-    import dataclasses
-
     # the resumed run collects and updates with the restored return statistics
     seen = []
     original_collect = ppo_module.collect_rollouts
