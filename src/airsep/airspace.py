@@ -27,7 +27,7 @@ ENDPOINT_RESAMPLE_CAP = 10_000
 # (1 - p) ** ENDPOINT_RESAMPLE_CAP < 1e-12, p being one draw's pass rate by Monte Carlo
 # over millions of draws: 3.1e-3 at 5.3 NM (3e-14), 2.4e-3 at 5.2 NM (5e-11)
 MIN_TRAINING_SECTOR_RADIUS = 5.3 * NM
-MAX_EPISODE_STEPS = 200_000  # decision cycles after which an unfinished episode is an error
+MAX_EPISODE_STEPS = 200_000  # steps after which a world that is not done is an error
 
 # fixed two-route crossing used by the scaled-down learning scenario
 HEAD_ON_ANGLE = math.radians(160.0)
@@ -199,6 +199,7 @@ class WorldState:
     spawn_queue: list = field(default_factory=list)
     early_termination: bool = False
     n_spawned: int = 0
+    n_steps: int = 0  # steps taken; ``step`` refuses to take more than its cap
     # the last pairwise pass; reused while every input it read is unchanged
     _pairs: "PairGeometry | None" = field(default=None, init=False, repr=False, compare=False)
 
@@ -262,10 +263,12 @@ def time_to_los(p, v, r):
 
     Returns 0.0 when the separation is already <= r.
     """
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {r}")
     p = np.array(p, dtype=np.float64).reshape(1, 2)
     v = np.array(v, dtype=np.float64).reshape(1, 2)
+    if not (np.isfinite(p).all() and np.isfinite(v).all()):
+        raise ValueError("position and velocity must be finite")
     t = float(_los_time(_dots(p, p), _dots(p, v), _dots(v, v), r)[0])
     return None if t == math.inf else t
 
@@ -459,9 +462,15 @@ def step(world, joint_actions):
     aircraft is removed with one cause, the first that holds of: arrival,
     timeout, NMAC, stopped inside a LoS when early termination is enabled.
     ``StepResult.removals`` maps each removed id to its cause, and the
-    post-move state map lets callers score agents removed this step.
+    post-move state map lets callers score agents removed this step. Every
+    world has one step cap, wherever it is flown: a step past it is a ValueError.
     """
     sector = world.sector
+    if world.n_steps >= MAX_EPISODE_STEPS:
+        raise ValueError(
+            f"world did not terminate within {MAX_EPISODE_STEPS} steps of "
+            f"{sector.decision_interval:g} s ({world.clock:g} s simulated)"
+        )
     active = list(world.aircraft)
     ids = {ac.aircraft_id for ac in active}
     if set(joint_actions) != ids:
@@ -480,6 +489,7 @@ def step(world, joint_actions):
             arrived.add(ac.aircraft_id)
 
     world.clock += sector.decision_interval
+    world.n_steps += 1
     events = detect_events(world)
     post_move = {ac.aircraft_id: replace(ac) for ac in active}
 

@@ -228,8 +228,8 @@ def collect_rollouts(envs, params, horizon, rng):
     from the value head. Envs whose episode finishes regenerate immediately.
     A step counts against the horizon only if some aircraft is aloft: an env
     with none (before the first spawn, or between spawns) is stepped with no
-    actions until one spawns, so every counted step yields transitions. A spawn
-    more than ``airspace.MAX_EPISODE_STEPS`` decision intervals away is a ValueError.
+    actions until one spawns, so every counted step yields transitions. Idle
+    steps count toward the world's own cap in :func:`airspace.step`.
     A counted step is one :func:`_decision_cycle` over the envs; a bootstrap, one ``forward``.
     Stored values and bootstraps are in reward units: the value head's
     normalized output de-normalized with the parameters' current statistics.
@@ -244,15 +244,8 @@ def collect_rollouts(envs, params, horizon, rng):
             while env.world.is_done() or not env.world.aircraft:
                 if env.world.is_done():
                     env.regenerate()
-                    continue
-                world = env.world
-                spawn, interval = world.spawn_queue[0].time, world.sector.decision_interval
-                if spawn - world.clock > airspace.MAX_EPISODE_STEPS * interval:
-                    raise ValueError(
-                        f"the next spawn at {spawn:g} s is more than "
-                        f"{airspace.MAX_EPISODE_STEPS} steps of {interval:g} s away"
-                    )
-                airspace.step(world, {})
+                else:
+                    airspace.step(env.world, {})
         decided = _decision_cycle([env.world for env in envs], [policy] * len(envs))
         for env_index, (env, (ids, *chosen, result)) in enumerate(zip(envs, decided)):
             for aid, obs, advisory, log_prob, value in zip(ids, *chosen):

@@ -337,6 +337,21 @@ def test_time_to_los_stationary():
     assert time_to_los(np.array([1 * NM, 0.0]), np.zeros(2), 5 * NM) == 0.0
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
+def test_time_to_los_rejects_a_radius_that_is_not_positive_and_finite(r):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        time_to_los([1e4, 0.0], [-10.0, 0.0], r)
+
+
+@pytest.mark.parametrize(
+    "p, v",
+    [([math.nan, 0.0], [-10.0, 0.0]), ([1e4, math.inf], [-10.0, 0.0]), ([1e4, 0.0], [-math.inf, 0.0])],
+)
+def test_time_to_los_rejects_a_position_or_velocity_that_is_not_finite(p, v):
+    with pytest.raises(ValueError, match="position and velocity must be finite"):
+        time_to_los(p, v, 5 * NM)
+
+
 def test_time_to_los_against_stepped_oracle():
     rng = np.random.default_rng(2024)
     r = 5 * NM
@@ -458,6 +473,29 @@ def test_clock_advances_by_decision_interval():
     for k in range(5):
         step(world, {"A": Advisory.HOLD})
         assert world.clock == (k + 1) * world.sector.decision_interval
+
+
+def test_a_new_world_has_taken_no_steps_and_counts_idle_ones_too():
+    assert _single_aircraft_world().n_steps == 0
+    assert _two_aircraft_world([0.0, 0.0], [1.0, 0.0], [9 * NM, 0.0], [-1.0, 0.0]).n_steps == 0
+    route = Route([[0.0, 0.0], [30 * NM, 0.0]])
+    world = make_custom_world([route], [PendingSpawn(time=10.0, aircraft_id="A", route_index=0, v_des=60 * KT)])
+    for k in range(3):
+        step(world, {})
+        assert world.n_steps == k + 1 and not world.aircraft
+    while world.n_steps < 12:
+        step(world, {aid: Advisory.HOLD for aid in world.active_ids()})
+    assert world.active_ids() == ["A"]
+
+
+def test_step_refuses_a_world_past_its_step_cap(monkeypatch):
+    monkeypatch.setattr(asp, "MAX_EPISODE_STEPS", 4)
+    world = _single_aircraft_world(sector=SectorParams(decision_interval=0.5))
+    for _ in range(4):
+        step(world, {"A": Advisory.HOLD})
+    with pytest.raises(ValueError, match=r"^world did not terminate within 4 steps of 0\.5 s \(2 s simulated\)$"):
+        step(world, {"A": Advisory.HOLD})
+    assert world.n_steps == 4 and world.clock == 2.0
 
 
 def test_waypoint_carryover_and_heading():

@@ -1,6 +1,7 @@
 """Harness oracles: scripted-trajectory metrics, smoothing, reports, CLI."""
 
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -800,8 +801,7 @@ def test_cli_train_fails_at_once_on_a_spawn_it_cannot_reach(tmp_path):
     )
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: the next spawn at ")
-    assert "is more than 200000 steps of 1e-300 s away" in proc.stderr
+    assert proc.stderr.startswith("error: world did not terminate within 200000 steps of 1e-300 s (")
 
 
 def test_python_dash_m_airsep_runs_the_cli_without_a_warning(tmp_path):
@@ -869,6 +869,20 @@ def test_cli_refuses_a_count_below_its_minimum_naming_the_flag(tmp_path, monkeyp
     assert "Traceback" not in captured.err
     assert "max relative error" not in captured.out
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("op_seeds", [0, -1])
+def test_gradient_suite_refuses_op_seeds_below_one_before_any_check(monkeypatch, op_seeds):
+    # with no op seed the suite would check no primitive and still report a maximum
+    def no_work(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(harness, "_op_gradient_checks", no_work)
+    monkeypatch.setattr(harness, "_policy_gradient_check", no_work)
+    out = io.StringIO()
+    with pytest.raises(ValueError, match=rf"^op_seeds must be at least 1, got {op_seeds}$"):
+        harness.run_gradient_suite(op_seeds=op_seeds, io=out)
+    assert out.getvalue() == ""
 
 
 def test_cli_gradcheck_quick(capsys):

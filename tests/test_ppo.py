@@ -136,6 +136,21 @@ def test_collect_accounting_every_active_agent_every_step(monkeypatch):
     assert len(buf) == sum(len(t) for t in buf.tracks)
 
 
+@pytest.mark.parametrize("first_spawn_s, aloft", [(0.0, True), (1e6, False)])
+def test_collect_stops_a_world_at_its_step_cap(monkeypatch, first_spawn_s, aloft):
+    # one rule whether the capped steps made decisions or only flew an empty world
+    monkeypatch.setattr(airspace, "MAX_EPISODE_STEPS", 5)
+    env = _make_envs(1, 3)[0]
+    route = airspace.Route([[0.0, 0.0], [30 * airspace.NM, 0.0]])
+    spawn = airspace.PendingSpawn(time=first_spawn_s, aircraft_id="A", route_index=0, v_des=60 * airspace.KT)
+    env.world = airspace.make_custom_world([route], [spawn])
+    assert bool(env.world.aircraft) is aloft
+    params = init_params(SMOKE_NET, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"^world did not terminate within 5 steps of 1 s \(5 s simulated\)$"):
+        collect_rollouts([env], params, horizon=50, rng=np.random.default_rng(7))
+    assert env.world.n_steps == 5 and env.episode == 0
+
+
 def test_collect_is_deterministic_and_bootstraps_open_tracks():
     def run():
         params = init_params(SMOKE_NET, np.random.default_rng(3))
