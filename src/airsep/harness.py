@@ -3,7 +3,6 @@ suite, and the command-line entry point (train / eval / gradcheck / rollout-dump
 """
 
 import argparse
-import csv
 import sys
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
@@ -178,24 +177,14 @@ def emit_report(metrics, out_dir):
     aggregates = [("overall", _aggregate(metrics))]
     aggregates += [(f"density={density}", agg) for density, agg in _per_density(metrics).items()]
     return (
-        _write_csv(out / "episodes.csv", EPISODES_HEADER, ([i, *astuple(m)] for i, m in enumerate(metrics))),
-        _write_csv(out / "aggregate.csv", AGGREGATE_HEADER, ([scope, *agg.values()] for scope, agg in aggregates)),
+        nm.write_csv(out / "episodes.csv", EPISODES_HEADER, ([i, *astuple(m)] for i, m in enumerate(metrics))),
+        nm.write_csv(out / "aggregate.csv", AGGREGATE_HEADER, ([scope, *agg.values()] for scope, agg in aggregates)),
     )
 
 
 def write_event_log(events, path):
     """One CSV record per safety event: time, kind, the two aircraft ids."""
-    return _write_csv(path, EVENT_LOG_HEADER, ([repr(float(e.time)), e.kind.value, *e.pair] for e in events))
-
-
-def _write_csv(path, header, rows):
-    """Write ``header``, then ``rows``, as CSV records to ``path``, making its folder; returns ``path``."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+    return nm.write_csv(path, EVENT_LOG_HEADER, ([e.time, e.kind.value, *e.pair] for e in events))
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +430,7 @@ def _cmd_rollout_dump(args):
     metrics = run_episode(world, greedy_action_fn(params), trajectory=trajectory, events_out=events)
     out = Path(args.out)
     events_path = write_event_log(events, out / "events.csv")
-    rows = ([repr(float(t)), aid, *(repr(float(x)) for x in state)] for t, aid, *state in trajectory)
-    trajectory_path = _write_csv(out / "trajectory.csv", TRAJECTORY_HEADER, rows)
+    trajectory_path = nm.write_csv(out / "trajectory.csv", TRAJECTORY_HEADER, trajectory)
     print(
         f"episode finished: {metrics.nmac_count} NMACs, {metrics.los_seconds:.0f} LoS seconds, "
         f"peak density {metrics.max_density}"

@@ -20,14 +20,19 @@ array-API layer (``numpy.f2py``, ``numpy.testing``, ``numpy.ma``: about 280
 modules), which more than doubles ``import airsep``'s time and adds ~18 MB
 of memory for one ufunc. ``math.erf`` and a numpy port of cephes' erf differ
 from scipy's in the last bit.
+
+Checkpoint files and :func:`write_csv`, the package's one CSV writer, live here.
 """
 
+import csv
 import importlib.machinery
 import importlib.util
+import itertools
 import json
 import math
 import os
 import zipfile
+from pathlib import Path
 
 import numpy as np
 
@@ -571,7 +576,7 @@ def finite_diff_check(f, params, h=1e-5, max_entries_per_param=None, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# parameter initialization and checkpoints
+# parameter initialization, checkpoints and CSV files
 # ---------------------------------------------------------------------------
 
 
@@ -638,3 +643,16 @@ def load_checkpoint(path):
         except NonFiniteError:
             raise ValueError(f"{path} holds non-finite values in {name}") from None
     return arrays, meta
+
+
+def write_csv(path, header, rows):
+    """Write ``header``, then ``rows``, as CSV records to ``path``, making its folder; returns ``path``.
+    A float is written as its shortest repr, so the text reads back to the same bits."""
+    rows = iter(rows)
+    first = list(itertools.islice(rows, 1))  # drawn first: a source that fails before it leaves nothing
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", buffering=1) as fh:  # line-buffered: each record is flushed as written
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(itertools.chain(first, rows))
+    return path

@@ -18,9 +18,8 @@ spread rather than in raw reward units. Values that enter GAE (the per-step
 values and the truncation bootstrap) are de-normalized to reward units.
 """
 
-import csv
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -101,10 +100,6 @@ class TrainStats:
     value_loss: float
     clip_fraction: float
     grad_norm: float
-
-    def csv_row(self):
-        """The ``STATS_HEADER`` columns; floats as ``repr`` so the file round-trips exactly."""
-        return [self.update] + [repr(getattr(self, name)) for name in STATS_HEADER[1:]]
 
 
 STATS_HEADER = tuple(f.name for f in fields(TrainStats))
@@ -508,18 +503,14 @@ def train(config, out_dir, log=None):
     """:func:`run_update` from :func:`start_training` to ``hyper.updates``; stats CSV and checkpoints on disk."""
     hp = config.hyper
     state = start_training(config)
-    out = Path(out_dir)  # made only once the init checkpoint and the first worlds have loaded
-    out.mkdir(parents=True, exist_ok=True)
-    stats_path = out / "training_stats.csv"
+    out = Path(out_dir)
     checkpoint_paths, stats = [], []
-    with open(stats_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STATS_HEADER)
+
+    def rows():
         while state.update < hp.updates:
             st, buffer = run_update(state)
             stats.append(st)
-            writer.writerow(st.csv_row())
-            fh.flush()
+            yield astuple(st)  # write_csv resumes this only once the row is on disk
             if config.checkpoint_every and state.update % config.checkpoint_every == 0:
                 path = policy_mod.save_policy(
                     out / f"checkpoint_{state.update:04d}", state.params, checkpoint_metadata(config, st.update)
@@ -528,6 +519,8 @@ def train(config, out_dir, log=None):
             if log:
                 log(f"update {state.update}/{hp.updates}: return {st.mean_lambda_return:.3f} "
                     f"entropy {st.mean_entropy:.3f} transitions {len(buffer)}")
+
+    stats_path = nm.write_csv(out / "training_stats.csv", STATS_HEADER, rows())
     final = policy_mod.save_policy(
         out / "checkpoint_final", state.params, checkpoint_metadata(config, hp.updates - 1)
     )

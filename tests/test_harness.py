@@ -784,9 +784,9 @@ def test_cli_train_rejects_an_init_checkpoint_of_another_network(tmp_path, capsy
     assert not (tmp_path / "run").exists()
 
 
-def test_cli_train_fails_at_once_on_a_spawn_it_cannot_reach(tmp_path):
-    # at 1e-300 s per step the clock stops short of the first spawn, which an
-    # empty world would otherwise fly toward for ever
+def test_cli_train_on_a_spawn_it_cannot_reach_fails_and_leaves_no_run(tmp_path):
+    # at 1e-300 s per step the clock stops short of the first spawn, so the idle
+    # world reaches its step cap inside the first update, before any stats row
     config = tmp_path / "tiny_interval.yaml"
     config.write_text(
         "scenario: {env: training, sector: {decision_interval_s: 1.0e-300}}\n"
@@ -802,6 +802,18 @@ def test_cli_train_fails_at_once_on_a_spawn_it_cannot_reach(tmp_path):
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: world did not terminate within 200000 steps of 1e-300 s (")
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_train_into_an_out_that_names_a_file_fails_and_leaves_the_file(tmp_path, capsys):
+    config = tmp_path / "tiny.yaml"
+    config.write_text(yaml.safe_dump(_tiny_with("ppo", "updates", 1)))
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a folder\n")
+    code = cli(["train", "--config", str(config), "--out", str(taken)])
+    err = _assert_clean_error(code, capsys, str(taken))
+    assert len(err.splitlines()) == 1
+    assert taken.read_bytes() == b"not a folder\n"
 
 
 def test_python_dash_m_airsep_runs_the_cli_without_a_warning(tmp_path):

@@ -1,5 +1,6 @@
-"""Tensor-core oracles: op examples, backward semantics, finite-difference checks."""
+"""Tensor-core oracles: op examples, backward semantics, finite-difference checks, file formats."""
 
+import ast
 import importlib.machinery
 import importlib.util
 import math
@@ -517,3 +518,62 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 def test_checkpoint_reserved_names(tmp_path):
     with pytest.raises(ValueError):
         nm.save_checkpoint(tmp_path / "bad", {"__meta__": np.zeros(1)})
+
+
+# ---------------------------------------------------------------------------
+# CSV files
+# ---------------------------------------------------------------------------
+
+
+def test_a_row_source_that_fails_before_its_first_row_leaves_nothing(tmp_path):
+    def rows():
+        raise ValueError("no first row")
+        yield
+
+    with pytest.raises(ValueError, match="no first row"):
+        nm.write_csv(tmp_path / "run" / "rows.csv", ("a", "b"), rows())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_empty_row_source_writes_the_header_alone(tmp_path):
+    path = nm.write_csv(tmp_path / "run" / "rows.csv", ("a", "b"), iter(()))
+    assert path.read_bytes() == b"a,b\r\n"
+
+
+def test_each_row_is_on_disk_before_the_next_is_drawn(tmp_path):
+    path = tmp_path / "rows.csv"
+    seen = []
+
+    def rows():
+        for k in range(4):
+            seen.append(path.read_bytes() if path.exists() else None)
+            yield (k, k / 3)
+
+    nm.write_csv(path, ("k", "third"), rows())
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 5
+    assert seen == [None] + [b"".join(lines[: k + 1]) for k in range(1, 4)]
+
+
+FLOAT_EDGES = (
+    5e-324, -0.0, 1e-05, 1e-04, 0.1, 1 / 3, 9007199254740992.0, 9999999999999998.0, 1e16, -1.7976931348623157e308
+)
+
+
+@pytest.mark.parametrize("kind", [np.float64, float])
+def test_a_float_is_written_as_its_shortest_repr(tmp_path, kind):
+    path = nm.write_csv(tmp_path / "floats.csv", ("v",), ([kind(v)] for v in FLOAT_EDGES))
+    cells = path.read_text().splitlines()[1:]
+    assert cells == [repr(float(v)) for v in FLOAT_EDGES]
+    for text, v in zip(cells, FLOAT_EDGES):
+        assert float(text) == v and math.copysign(1.0, float(text)) == math.copysign(1.0, v)
+
+
+def test_only_numerics_imports_csv():
+    importers = set()
+    for path in Path(nm.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if "csv" in names or (isinstance(node, ast.ImportFrom) and node.module == "csv"):
+                importers.add(path.name)
+    assert importers == {"numerics.py"}

@@ -14,6 +14,7 @@ from airsep.config import training_config_from_dict
 from airsep.featurize import featurize
 from airsep.policy import PolicyConfig, ValueNormalizer, act, forward, init_params, load_policy
 from airsep.ppo import (
+    STATS_HEADER,
     Adam,
     HyperParams,
     RolloutBuffer,
@@ -453,6 +454,26 @@ def test_two_run_updates_equal_train_with_two_updates(tmp_path, monkeypatch):
     assert state.params.value_norm == result.params.value_norm
     hp = cfg.hyper
     assert state.optimizer.t == sum(hp.epochs * math.ceil(len(b) / hp.batch_size) for b in buffers)
+
+
+def test_train_that_fails_in_its_second_update_keeps_the_first_row_and_checkpoint(tmp_path, monkeypatch):
+    done = []
+    original_run_update = ppo_module.run_update
+
+    def failing_second(state):
+        if done:
+            raise ValueError("second update fails")
+        done.append(original_run_update(state))
+        return done[-1]
+
+    monkeypatch.setattr(ppo_module, "run_update", failing_second)
+    with pytest.raises(ValueError, match="second update fails"):
+        train(_tiny_config(updates=2), tmp_path / "run")
+    [(first, _)] = done
+    lines = (tmp_path / "run" / "training_stats.csv").read_text().splitlines()
+    assert lines == [",".join(STATS_HEADER), ",".join(map(str, dataclasses.astuple(first)))]
+    assert (tmp_path / "run" / "checkpoint_0001.npz").exists()  # checkpoint_every: 1, after the row
+    assert not (tmp_path / "run" / "checkpoint_final.npz").exists()
 
 
 def test_train_resume_from_checkpoint(tmp_path, monkeypatch):
