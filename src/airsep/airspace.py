@@ -273,22 +273,6 @@ def time_to_los(p, v, r):
     return None if t == math.inf else t
 
 
-def _bearing(y, x, d, heading):
-    """(sin, cos) of the direction of (x, y), of length d, relative to ``heading``.
-
-    The angle is wrapped to (-pi, pi]; a zero-length offset has bearing 0.
-    """
-    if d == 0.0:
-        return 0.0, 1.0
-    a = (math.atan2(y, x) - heading + math.pi) % (2.0 * math.pi) - math.pi
-    if a <= -math.pi:
-        a += 2.0 * math.pi
-    return math.sin(a), math.cos(a)
-
-
-_bearings = np.frompyfunc(_bearing, 4, 2)
-
-
 #: column order of one egocentric intruder row
 INTRUDER_FEATURES = ("d_nmac", "d_pz", "sin_theta", "cos_theta", "b_los", "v_p", "v_psi")
 
@@ -352,7 +336,13 @@ def _pairwise_pass(sector, aircraft, key):
     cols = len(INTRUDER_FEATURES)
     intruders = np.empty((n, n, cols))
     intruders[..., :2] = (dist[..., None] - (sector.r_nmac, sector.r_pz)) / (2.0 * sector.sector_radius)
-    intruders[..., 2], intruders[..., 3] = _bearings(p[..., 1], p[..., 0], dist, heading[:, None])
+    # j's bearing from i's heading in (-pi, pi], 0 if coincident; math's trig, which numpy's may round differently
+    x, y = p.reshape(-1, 2).T.tolist()
+    a = np.fromiter(map(math.atan2, y, x), float, n * n).reshape(n, n) - heading[:, None]
+    a = np.remainder(a + math.pi, 2.0 * math.pi) - math.pi
+    a = np.where(a <= -math.pi, a + 2.0 * math.pi, a).ravel().tolist()
+    intruders[..., 2] = np.where(coincident, 0.0, np.fromiter(map(math.sin, a), float, n * n).reshape(n, n))
+    intruders[..., 3] = np.where(coincident, 1.0, np.fromiter(map(math.cos, a), float, n * n).reshape(n, n))
     intruders[..., 4] = dist <= sector.r_pz
     intruders[..., 5:] = np.where(coincident[..., None], 0.0, closure) / sector.v_max
     # the diagonal dropped: after the first entry, every run of n + 1 flat entries ends on it

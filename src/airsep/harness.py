@@ -398,6 +398,7 @@ def _load_for_episodes(path):
 
 
 def _cmd_eval(args):
+    nm.check_out_dir(args.out)
     params, sector = _load_for_episodes(args.checkpoint)
     result = evaluate(params, args.case, args.episodes, args.seed, sector=sector)
     episodes_path, aggregate_path = emit_report(result.episodes, args.out)
@@ -420,6 +421,7 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_rollout_dump(args):
+    nm.check_out_dir(args.out)
     if args.checkpoint:
         params, sector = _load_for_episodes(args.checkpoint)
     else:

@@ -645,6 +645,13 @@ def load_checkpoint(path):
     return arrays, meta
 
 
+def check_out_dir(path):
+    """Raise ``NotADirectoryError`` unless ``path`` is a folder, or absent under one; makes nothing."""
+    nearest = next(p for p in (Path(path).absolute(), *Path(path).absolute().parents) if p.exists())
+    if not nearest.is_dir():
+        raise NotADirectoryError(f"cannot write into {path}: {nearest} is not a folder")
+
+
 def write_csv(path, header, rows):
     """Write ``header``, then ``rows``, as CSV records to ``path``, making its folder; returns ``path``.
     A float is written as its shortest repr, so the text reads back to the same bits."""

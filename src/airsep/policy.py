@@ -319,12 +319,6 @@ def forward(obs, params):
     return logits.data, params.value_norm.denormalize(value.data).tolist()
 
 
-def _log_softmax_np(logits):
-    m = logits.max()
-    lse = m + math.log(np.exp(logits - m).sum())
-    return logits - lse
-
-
 def act(obs, params, rng=None, mode="sample"):
     """Draw or argmax an advisory; returns (advisory, log_prob, value in reward units),
     or for a stacked observation three lists, drawing one ``rng.choice`` per row in order."""
@@ -333,15 +327,18 @@ def act(obs, params, rng=None, mode="sample"):
     if mode == "sample" and rng is None:
         raise ValueError("sample mode needs a seeded rng")
     logits, value = forward(obs, params)
-    advisories, log_probs = [], []
-    for row in np.reshape(logits, (-1, N_ACTIONS)):
-        logp = _log_softmax_np(row)
-        a = int(np.argmax(row)) if mode == "greedy" else int(rng.choice(N_ACTIONS, p=np.exp(logp)))
-        advisories.append(Advisory(a))
-        log_probs.append(float(logp[a]))
+    rows = np.reshape(logits, (-1, N_ACTIONS))
+    m = rows.max(axis=1)
+    sums = np.exp(rows - m[:, None]).sum(axis=1).tolist()
+    logp = rows - (m + list(map(math.log, sums)))[:, None]  # math.log: np.log rounds differently
+    if mode == "greedy":
+        chosen = np.argmax(rows, axis=1).tolist()
+    else:
+        chosen = [int(rng.choice(N_ACTIONS, p=p)) for p in np.exp(logp)]
+    log_probs = [row[a] for row, a in zip(logp.tolist(), chosen)]
     if logits.ndim == 1:
-        return advisories[0], log_probs[0], value
-    return advisories, log_probs, value
+        return Advisory(chosen[0]), log_probs[0], value
+    return list(map(Advisory, chosen)), log_probs, value
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,7 @@ def ppo_update(params, buffer, hparams, rng, optimizer):
             if hparams.advantage_normalization:
                 mb_adv = normalize_advantages(mb_adv)
             rows = policy_mod.pad_observations([obs_list[i] for i in idx])
+            # the previous graph is freed after this returns; freed before, glibc re-faults the heap top each time
             total, policy_loss, value_loss, entropy, ratio = ppo_loss(
                 params, rows, actions[idx], logp_old[idx], mb_adv, ret_all[idx], values_old[idx], hparams
             )
@@ -502,6 +503,7 @@ def run_update(state):
 def train(config, out_dir, log=None):
     """:func:`run_update` from :func:`start_training` to ``hyper.updates``; stats CSV and checkpoints on disk."""
     hp = config.hyper
+    nm.check_out_dir(out_dir)
     state = start_training(config)
     out = Path(out_dir)
     checkpoint_paths, stats = [], []

@@ -805,7 +805,12 @@ def test_cli_train_on_a_spawn_it_cannot_reach_fails_and_leaves_no_run(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
-def test_cli_train_into_an_out_that_names_a_file_fails_and_leaves_the_file(tmp_path, capsys):
+def _no_work(*args, **kwargs):
+    raise AssertionError("work began before --out was checked")
+
+
+def test_cli_train_into_an_out_that_names_a_file_fails_and_leaves_the_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ppo, "run_update", _no_work)  # --out is refused before the first update
     config = tmp_path / "tiny.yaml"
     config.write_text(yaml.safe_dump(_tiny_with("ppo", "updates", 1)))
     taken = tmp_path / "taken"
@@ -814,6 +819,38 @@ def test_cli_train_into_an_out_that_names_a_file_fails_and_leaves_the_file(tmp_p
     err = _assert_clean_error(code, capsys, str(taken))
     assert len(err.splitlines()) == 1
     assert taken.read_bytes() == b"not a folder\n"
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        ("train", "taken/run"),
+        ("eval", "taken"),
+        ("eval", "taken/run"),
+        ("rollout-dump", "taken"),
+        ("rollout-dump", "taken/run"),
+    ],
+)
+def test_cli_refuses_an_out_at_or_under_a_file_before_any_work(tmp_path, capsys, monkeypatch, command, out):
+    monkeypatch.setattr(ppo, "run_update", _no_work)
+    monkeypatch.setattr(harness, "_fly", _no_work)
+    config = tmp_path / "tiny.yaml"
+    config.write_text(yaml.safe_dump(_tiny_with("ppo", "updates", 1)))
+    checkpoint = save_policy(tmp_path / "ckpt", init_params(PolicyConfig(d_emb=8, d_ff=16, heads=2, layers=1),
+                                                            np.random.default_rng(3)))
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a folder\n")
+    before = sorted(tmp_path.iterdir())
+    argv = {
+        "train": ["train", "--config", str(config)],
+        "eval": ["eval", "--checkpoint", str(checkpoint), "--case", "headon", "--episodes", "1"],
+        "rollout-dump": ["rollout-dump", "--case", "headon"],
+    }[command]
+    code = cli([*argv, "--out", str(tmp_path / out)])
+    err = _assert_clean_error(code, capsys, f"{taken} is not a folder")
+    assert len(err.splitlines()) == 1
+    assert taken.read_bytes() == b"not a folder\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_python_dash_m_airsep_runs_the_cli_without_a_warning(tmp_path):

@@ -5,6 +5,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -577,3 +578,18 @@ def test_only_numerics_imports_csv():
             if "csv" in names or (isinstance(node, ast.ImportFrom) and node.module == "csv"):
                 importers.add(path.name)
     assert importers == {"numerics.py"}
+
+
+def test_an_out_dir_that_is_a_folder_or_absent_under_one_passes_and_nothing_is_made(tmp_path):
+    (tmp_path / "made").mkdir()
+    for out in (tmp_path, tmp_path / "made", tmp_path / "new", tmp_path / "new" / "deeper"):
+        nm.check_out_dir(out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["made"]
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/run", "taken/run/deeper"])
+def test_an_out_dir_that_is_or_lies_under_a_file_is_refused(tmp_path, out):
+    (tmp_path / "taken").write_bytes(b"not a folder\n")
+    with pytest.raises(NotADirectoryError, match=re.escape(f"{tmp_path / 'taken'} is not a folder")):
+        nm.check_out_dir(tmp_path / out)
+    assert (tmp_path / "taken").read_bytes() == b"not a folder\n"

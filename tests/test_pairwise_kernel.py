@@ -276,6 +276,49 @@ def test_stepped_episodes_match_reference():
             assert list(result.events) == _ref_detect_events(probe)
 
 
+def _behind():
+    # B sits behind A on y = +0.0 and C on y = -0.0: atan2 gives +pi and -pi, and both
+    # bearings wrap to exactly -pi, which must read +pi
+    return [
+        _make("A", [(0.0, 0.0), (10 * NM, 0.0)], 0, 0.0, 100 * KT, 100 * KT),
+        _make("B", [(-1 * NM, 0.0), (-1 * NM, 10 * NM)], 0, 0.0, 90 * KT, 100 * KT),
+        _make("C", [(-2 * NM, -0.0), (-2 * NM, -10 * NM)], 0, 0.0, 80 * KT, 100 * KT),
+    ], {("A", "B"): math.pi, ("A", "C"): math.pi}
+
+
+def _headings_of_plus_and_minus_pi():
+    # A flies west on y = -0.0 (heading -pi), B west on y = +0.0 (heading +pi), B behind A
+    return [
+        _make("A", [(0.0, 0.0), (-10 * NM, -0.0)], 0, 0.0, 100 * KT, 100 * KT),
+        _make("B", [(5 * NM, 0.0), (-10 * NM, 0.0)], 0, 0.0, 90 * KT, 100 * KT),
+        _make("C", [(-3 * NM, 4 * NM), (-3 * NM, -6 * NM)], 0, 0.4, 80 * KT, 100 * KT),
+    ], {("A", "B"): math.pi, ("B", "A"): 0.0}
+
+
+def _coincident():
+    return [
+        _make("A", [(3 * NM, 4 * NM), (13 * NM, 4 * NM)], 0, 0.0, 100 * KT, 100 * KT),
+        _make("B", [(3 * NM, 4 * NM), (3 * NM, -6 * NM)], 0, 0.0, 90 * KT, 100 * KT),
+        _make("C", [(-3 * NM, 4 * NM), (-3 * NM, -6 * NM)], 0, 0.4, 80 * KT, 100 * KT),
+    ], {("A", "B"): 0.0, ("B", "A"): 0.0}
+
+
+@pytest.mark.parametrize("build", [_behind, _headings_of_plus_and_minus_pi, _coincident])
+def test_seam_and_coincident_bearings_match_reference(build):
+    aircraft, bearings = build()
+    world = WorldState(sector=SECTOR, routes=[], aircraft=aircraft)
+    if build is _headings_of_plus_and_minus_pi:
+        assert (world.get("A").heading, world.get("B").heading) == (-math.pi, math.pi)
+    for aid in world.active_ids():
+        _, rows = _ref_featurize(world, aid)
+        assert np.array_equal(featurize(world, aid).intruders, rows)
+    for (own, other), theta in bearings.items():
+        others = sorted(set(world.active_ids()) - {own})
+        row = featurize(world, own).intruders[others.index(other)]
+        assert row[2:4].tolist() == [math.sin(theta), math.cos(theta)]
+        assert math.copysign(1.0, row[2]) == math.copysign(1.0, math.sin(theta))
+
+
 # ---------------------------------------------------------------------------
 # sharing the pass
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from airsep import numerics as nm
+from airsep.airspace import Advisory
 from airsep.featurize import EgoObservation
 from airsep.policy import (
     VALUE_VAR_FLOOR,
     PolicyConfig,
     ValueNormalizer,
-    _log_softmax_np,
     act,
     forward,
     forward_batch,
@@ -133,7 +133,8 @@ def test_sample_frequencies_match_probabilities():
     logits, _ = forward(obs, params)
     p = np.exp(logits - logits.max())
     p /= p.sum()
-    logp = _log_softmax_np(logits)
+    m = logits.max()
+    logp = logits - (m + math.log(np.exp(logits - m).sum()))
     assert np.max(np.abs(np.exp(logp) - p)) <= 1e-12
     rng, twin = np.random.default_rng(15), np.random.default_rng(15)
     drawn = set()
@@ -143,6 +144,63 @@ def test_sample_frequencies_match_probabilities():
         assert log_prob == logp[int(advisory)]
         drawn.add(int(advisory))
     assert drawn == {0, 1, 2}
+
+
+def _act_per_row(obs, params, rng=None, mode="sample"):
+    """``act`` as a per-row loop: one log-softmax with ``math.log``, then an argmax or a draw."""
+    logits, value = forward(obs, params)
+    advisories, log_probs = [], []
+    for row in np.reshape(logits, (-1, 3)):
+        m = row.max()
+        logp = row - (m + math.log(np.exp(row - m).sum()))
+        a = int(np.argmax(row)) if mode == "greedy" else int(rng.choice(3, p=np.exp(logp)))
+        advisories.append(Advisory(a))
+        log_probs.append(float(logp[a]))
+    if logits.ndim == 1:
+        return advisories[0], log_probs[0], value
+    return advisories, log_probs, value
+
+
+def _typed(result):
+    """``act``'s result with the type of every value beside it, so ``==`` also compares types."""
+    return [[(type(v), v) for v in part] if isinstance(part, list) else (type(part), part) for part in result]
+
+
+def _stacked_obs(rng, rows, n_intruders):
+    views = [_obs(rng, n_intruders) for _ in range(rows)]
+    return EgoObservation(np.stack([v.ownship for v in views]), np.stack([v.intruders for v in views]))
+
+
+@pytest.mark.parametrize("head", ["random", "sharp", "tied", "flat"])
+@pytest.mark.parametrize("rows", [None, 1, 2, 8])
+def test_act_equals_the_per_row_loop(head, rows):
+    # every output, and the generator's state after it, equals the loop's under ==;
+    # tied heads give every row the same logits, two or three of them equal
+    params = init_params(TINY, np.random.default_rng(31))
+    if head == "sharp":
+        params.pi_w.data = params.pi_w.data * 40.0
+    if head in ("tied", "flat"):
+        params.pi_w.data = np.zeros_like(params.pi_w.data)
+        params.pi_b.data = np.array([0.25, 0.25, -0.5] if head == "tied" else [0.0, 0.0, 0.0])
+    obs_rng = np.random.default_rng(32)
+    for n_intruders in (0, 1, 3):
+        obs = _obs(obs_rng, n_intruders) if rows is None else _stacked_obs(obs_rng, rows, n_intruders)
+        assert _typed(act(obs, params, mode="greedy")) == _typed(_act_per_row(obs, params, mode="greedy"))
+        rng, twin = np.random.default_rng(33), np.random.default_rng(33)
+        for _ in range(25):
+            assert _typed(act(obs, params, rng)) == _typed(_act_per_row(obs, params, twin))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_act_equals_the_per_row_loop_on_a_deep_stack():
+    # thousands of distinct rows, so that a log-sum-exp rounded unlike math.log shows
+    params = init_params(TINY, np.random.default_rng(31))
+    for n_intruders in (0, 1, 3):
+        obs = _stacked_obs(np.random.default_rng(40 + n_intruders), 4096, n_intruders)
+        assert _typed(act(obs, params, mode="greedy")) == _typed(_act_per_row(obs, params, mode="greedy"))
+        rng, twin = np.random.default_rng(41), np.random.default_rng(41)
+        assert _typed(act(obs, params, rng)) == _typed(_act_per_row(obs, params, twin))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_sample_requires_rng():
