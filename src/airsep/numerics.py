@@ -594,7 +594,9 @@ def save_checkpoint(path, arrays, meta=None):
     The layout is the stock numpy archive: one float64 entry per name (the
     shape table lives in the npz headers) plus a reserved ``__meta__`` JSON
     string carrying ``format_version`` and caller metadata. Round-trips are
-    bit-exact. Returns the actual path written (numpy appends ``.npz``).
+    bit-exact. The archive is written to a temporary file beside ``path`` and
+    then renamed onto it, so ``path`` never holds a cut archive. Returns the
+    actual path written (``.npz`` appended if missing).
     """
     payload = {}
     for name, value in arrays.items():
@@ -608,7 +610,14 @@ def save_checkpoint(path, arrays, meta=None):
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path = path + ".npz"
-    np.savez(path, **{_META_KEY: blob}, **payload)
+    part = path + ".part"
+    try:
+        with open(part, "wb") as fh:  # a handle: given a path, np.savez would append .npz to it
+            np.savez(fh, **{_META_KEY: blob}, **payload)
+        os.replace(part, path)
+    except BaseException:
+        Path(part).unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -6,7 +6,8 @@ contributes one transition per step, and removals terminate an agent's track
 (bootstrap 0) while horizon truncation bootstraps the value of the last
 observation. Transitions from all agents and envs are pooled, shuffled and
 optimized in minibatches. :func:`train` is only a loop of :func:`run_update`
-on the :class:`TrainState` that :func:`start_training` builds, plus its files.
+on the :class:`TrainState` that :func:`start_training` builds, plus its files;
+a state file it writes resumes the run bit for bit (:func:`save_state`).
 
 The critic is trained on normalized value targets. The parameters carry
 running mean/std statistics of every lambda-return seen so far
@@ -341,6 +342,8 @@ def clip_grad_norm(params, max_norm):
         if p.grad is not None:
             total += float((p.grad * p.grad).sum())
     norm = math.sqrt(total)
+    if not math.isfinite(norm):  # NaN fails the test below, and an inf norm scales by 0 into NaN
+        raise nm.NonFiniteError(f"non-finite values in the gradient (its norm is {norm})")
     if norm > max_norm:
         scale = max_norm / norm
         for p in params:
@@ -475,18 +478,97 @@ class TrainState:
 
 
 def start_training(config):
-    """A run before its first update. Seeds spawn in the order init, action, shuffle, one per env. Writes no file."""
+    """A run before its next update. Seeds spawn in the order init, action, shuffle, one per env;
+    given ``init_checkpoint``, the state file it names then overwrites all of it. Writes no file."""
+    return _start(config)[0]
+
+
+def _start(config):
+    """:func:`start_training`'s state, and the stats rows of the updates it has already run."""
     hp = config.hyper
     seeds = np.random.SeedSequence(config.seed).spawn(3 + hp.n_envs)
     init_rng, action_rng, shuffle_rng, *env_rngs = (np.random.default_rng(ss) for ss in seeds)
-    if config.init_checkpoint:
-        params, _ = policy_mod.load_policy(config.init_checkpoint)
-        if params.config != config.network:
-            raise ValueError(f"{config.init_checkpoint} holds a network that disagrees with the training config")
-    else:
-        params = init_params(config.network, init_rng)
+    params = init_params(config.network, init_rng)
     envs = [SectorEnv(config.scenario, rng, reward_params=config.reward) for rng in env_rngs]
-    return TrainState(config, params, Adam(params.tensors(), lr=hp.learning_rate), envs, action_rng, shuffle_rng)
+    state = TrainState(config, params, Adam(params.tensors(), lr=hp.learning_rate), envs, action_rng, shuffle_rng)
+    return state, _load_state(state, config.init_checkpoint) if config.init_checkpoint else []
+
+
+def _config_json(config):
+    saved = asdict(config)
+    saved["scenario"]["env_kind"] = config.scenario.env_kind.value
+    return saved
+
+
+def _world_json(world):
+    """``world`` as JSON values: routes as waypoint lists, an aircraft's route as its index."""
+    saved = {f.name: getattr(world, f.name) for f in fields(world) if f.init and f.name not in ("sector", "rng")}
+    route_ids = [id(route) for route in world.routes]
+    saved["routes"] = [route.waypoints.tolist() for route in world.routes]
+    saved["aircraft"] = [{f.name: getattr(ac, f.name) for f in fields(ac)} | {"route": route_ids.index(id(ac.route))}
+                         for ac in world.aircraft]
+    saved["spawn_queue"] = [asdict(sp) for sp in world.spawn_queue]
+    return saved
+
+
+def _world_from(saved, sector):
+    routes = [airspace.Route(waypoints) for waypoints in saved["routes"]]
+    aircraft = [airspace.AircraftState(**ac | {"route": routes[ac["route"]]}) for ac in saved["aircraft"]]
+    spawns = [airspace.PendingSpawn(**sp) for sp in saved["spawn_queue"]]
+    return airspace.WorldState(**saved | dict(sector=sector, routes=routes, aircraft=aircraft, spawn_queue=spawns))
+
+
+def _generators(state):
+    return state.action_rng, state.shuffle_rng, *(env.rng for env in state.envs)
+
+
+def save_state(path, state, stats):
+    """Write ``state`` and the run's ``stats`` rows to ``path`` (.npz) as a checkpoint: the parameters
+    under their names, Adam's moments as ``adam_m.<name>`` and ``adam_v.<name>``, the rest as JSON.
+    Not saved: the worlds' pairwise memo, which is derived, and ``WorldState.rng``, which is never read."""
+    named = state.params.named_parameters()
+    moments = {f"adam_{kind}.{name}": array for kind, arrays in (("m", state.optimizer._m), ("v", state.optimizer._v))
+               for name, array in zip(named, arrays)}
+    return nm.save_checkpoint(path, named | moments, {
+        "config": _config_json(state.config),
+        "update": state.update,
+        "stats": [astuple(st) for st in stats],
+        "value_norm": asdict(state.params.value_norm),
+        "adam_t": state.optimizer.t,
+        "rngs": [rng.bit_generator.state for rng in _generators(state)],
+        "envs": [[env.episode, _world_json(env.world)] for env in state.envs],
+    })
+
+
+def _load_state(state, path):
+    """Overwrite the fresh ``state`` with the state file at ``path``; returns its stats rows.
+    A policy checkpoint, another run's state, a finished one or one with an entry missing is a ValueError."""
+    arrays, meta = nm.load_checkpoint(path)
+    if "config" not in meta:
+        raise ValueError(f"{path} holds no training state: resume from a state_<update>.npz that train wrote")
+    try:
+        mine, saved = ({**c, "hyper": {**c["hyper"], "updates": 0}, "checkpoint_every": 0, "init_checkpoint": None}
+                       for c in (_config_json(state.config), meta["config"]))
+        if mine != saved:
+            raise ValueError(f"{path} was saved by a run whose config differs outside "
+                             "hyper.updates, checkpoint_every and init_checkpoint")
+        if (update := meta["update"]) >= state.config.hyper.updates:
+            raise ValueError(f"{path} is at update {update}, and the run stops at {state.config.hyper.updates}")
+        named = state.params.named_parameters()
+        for name, tensor in named.items():
+            tensor.data = arrays[name]
+        state.params.value_norm = policy_mod.ValueNormalizer(**meta["value_norm"])
+        state.optimizer.t = meta["adam_t"]
+        state.optimizer._m = [arrays[f"adam_m.{name}"] for name in named]
+        state.optimizer._v = [arrays[f"adam_v.{name}"] for name in named]
+        for rng, rng_state in zip(_generators(state), meta["rngs"]):
+            rng.bit_generator.state = rng_state
+        for env, (episode, world) in zip(state.envs, meta["envs"]):
+            env.episode, env.world = episode, _world_from(world, state.config.scenario.sector)
+        state.update = update
+        return [TrainStats(*row) for row in meta["stats"]]
+    except (KeyError, IndexError, TypeError) as exc:  # an entry missing or of another shape
+        raise ValueError(f"{path} does not hold a whole training state: {exc!r}") from None
 
 
 def run_update(state):
@@ -501,14 +583,17 @@ def run_update(state):
 
 
 def train(config, out_dir, log=None):
-    """:func:`run_update` from :func:`start_training` to ``hyper.updates``; stats CSV and checkpoints on disk."""
+    """:func:`run_update` from :func:`start_training` to ``hyper.updates``; on disk, the stats CSV
+    with every row of the run, resumed or not, and at every ``checkpoint_every`` updates a policy
+    checkpoint and a state file (:func:`save_state`) that ``init_checkpoint`` resumes from."""
     hp = config.hyper
     nm.check_out_dir(out_dir)
-    state = start_training(config)
+    state, stats = _start(config)
     out = Path(out_dir)
-    checkpoint_paths, stats = [], []
+    checkpoint_paths = []
 
     def rows():
+        yield from [astuple(st) for st in stats]
         while state.update < hp.updates:
             st, buffer = run_update(state)
             stats.append(st)
@@ -518,6 +603,7 @@ def train(config, out_dir, log=None):
                     out / f"checkpoint_{state.update:04d}", state.params, checkpoint_metadata(config, st.update)
                 )
                 checkpoint_paths.append(Path(path))
+                save_state(out / f"state_{state.update:04d}", state, stats)
             if log:
                 log(f"update {state.update}/{hp.updates}: return {st.mean_lambda_return:.3f} "
                     f"entropy {st.mean_entropy:.3f} transitions {len(buffer)}")

@@ -24,7 +24,7 @@ from airsep.airspace import (
     make_custom_world,
     make_world,
 )
-from airsep.config import _SECTOR_FIELDS, load_training_config
+from airsep.config import _SECTOR_FIELDS, load_training_config, training_config_from_dict
 from airsep.harness import (
     EpisodeMetrics,
     cli,
@@ -736,19 +736,17 @@ def _nan_weight(tmp_path):
     return Path(save_checkpoint(tmp_path / "nan", arrays, {"network": asdict(params.config)}))
 
 
-_UNREADABLE_CHECKPOINTS = pytest.mark.parametrize(
-    "make, fragment",
-    [(_checkpoint_cut_in_half, "does not read as a checkpoint archive"),
-     (_checkpoint_without_network, "has no network block"),
-     (_plain_npy, "is not a checkpoint archive: it holds a single array"),
-     (_text_named_npz, "does not read as a checkpoint archive"),
-     (_object_arrays, "does not read as a checkpoint archive"),
-     (_metadata_not_json, "has unreadable metadata"),
-     (_metadata_a_list, "has metadata that is not a JSON object"),
-     (_nan_weight, "holds non-finite values in intr_w")],
-    ids=["cut_in_half", "no_network_block", "plain_npy", "text_named_npz", "object_arrays",
-         "metadata_not_json", "metadata_a_list", "nan_weight"],
-)
+_UNREADABLE = [
+    pytest.param(_checkpoint_cut_in_half, "does not read as a checkpoint archive", id="cut_in_half"),
+    pytest.param(_checkpoint_without_network, "has no network block", id="no_network_block"),
+    pytest.param(_plain_npy, "is not a checkpoint archive: it holds a single array", id="plain_npy"),
+    pytest.param(_text_named_npz, "does not read as a checkpoint archive", id="text_named_npz"),
+    pytest.param(_object_arrays, "does not read as a checkpoint archive", id="object_arrays"),
+    pytest.param(_metadata_not_json, "has unreadable metadata", id="metadata_not_json"),
+    pytest.param(_metadata_a_list, "has metadata that is not a JSON object", id="metadata_a_list"),
+    pytest.param(_nan_weight, "holds non-finite values in intr_w", id="nan_weight"),
+]
+_UNREADABLE_CHECKPOINTS = pytest.mark.parametrize("make, fragment", _UNREADABLE)
 
 
 @pytest.mark.parametrize("command", [["eval", "--episodes", "1"], ["rollout-dump"]], ids=lambda c: c[0])
@@ -762,8 +760,13 @@ def test_cli_rejects_an_unreadable_checkpoint(tmp_path, capsys, command, make, f
     assert not (tmp_path / "out").exists()
 
 
-@_UNREADABLE_CHECKPOINTS
-def test_cli_train_rejects_an_unreadable_init_checkpoint(tmp_path, capsys, make, fragment):
+# a readable archive with no network block is no training state either
+@pytest.mark.parametrize("make, fragment", [
+    pytest.param(_checkpoint_without_network, "holds no training state", id=case.id) if case.id == "no_network_block"
+    else case for case in _UNREADABLE
+])
+def test_cli_train_rejects_an_unreadable_init_checkpoint(tmp_path, capsys, monkeypatch, make, fragment):
+    monkeypatch.setattr(ppo, "run_update", _no_work)
     ckpt = make(tmp_path)
     config = tmp_path / "init.yaml"
     config.write_text(yaml.safe_dump(_tiny_with(None, "init_checkpoint", str(ckpt))))
@@ -774,13 +777,29 @@ def test_cli_train_rejects_an_unreadable_init_checkpoint(tmp_path, capsys, make,
     assert not (tmp_path / "run").exists()
 
 
-def test_cli_train_rejects_an_init_checkpoint_of_another_network(tmp_path, capsys):
-    params = init_params(PolicyConfig(d_emb=8, d_ff=16, heads=2, layers=1), np.random.default_rng(1))
-    ckpt = save_policy(tmp_path / "narrow", params)
-    config = tmp_path / "init.yaml"
-    config.write_text(yaml.safe_dump(_tiny_with(None, "init_checkpoint", str(ckpt))))
+@pytest.mark.parametrize(
+    "change, file, fragment",
+    [
+        ({}, "checkpoint_0001.npz", "holds no training state"),  # a policy checkpoint of the same run
+        ({"network": {"d_emb": 8, "d_ff": 16, "heads": 2}}, "state_0001.npz", "config differs"),
+        ({"seed": 9}, "state_0001.npz", "config differs"),
+        ({"ppo": {"updates": 1}}, "state_0001.npz", "is at update 1, and the run stops at 1"),
+    ],
+    ids=["policy_checkpoint", "another_network", "another_seed", "finished"],
+)
+def test_cli_train_refuses_an_init_checkpoint_it_cannot_resume(tmp_path, capsys, monkeypatch, change, file, fragment):
+    ppo.train(training_config_from_dict(_tiny_with(None, "checkpoint_every", 1)), tmp_path / "first")
+    monkeypatch.setattr(ppo, "run_update", _no_work)
+    resumed = _tiny_with("ppo", "updates", 2)
+    for key, value in change.items():
+        resumed[key] = {**resumed[key], **value} if isinstance(value, dict) else value
+    resumed.update(checkpoint_every=1, init_checkpoint=str(tmp_path / "first" / file))
+    config = tmp_path / "resume.yaml"
+    config.write_text(yaml.safe_dump(resumed))
     code = cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
-    _assert_clean_error(code, capsys, f"{ckpt} holds a network that disagrees with the training config")
+    err = _assert_clean_error(code, capsys, fragment)
+    assert resumed["init_checkpoint"] in err
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "run").exists()
 
 

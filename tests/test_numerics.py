@@ -521,6 +521,25 @@ def test_checkpoint_reserved_names(tmp_path):
         nm.save_checkpoint(tmp_path / "bad", {"__meta__": np.zeros(1)})
 
 
+def test_a_checkpoint_write_cut_partway_leaves_the_earlier_file_whole(tmp_path, monkeypatch):
+    path = nm.save_checkpoint(tmp_path / "params", {"w": np.arange(4.0)}, meta={"note": "earlier"})
+    before = Path(path).read_bytes()
+    savez = np.savez
+
+    def cut_savez(file, **arrays):
+        savez(file, **arrays)
+        file.truncate(file.tell() // 2)  # half an archive written, then the run is killed
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(nm.np, "savez", cut_savez)
+    with pytest.raises(KeyboardInterrupt):
+        nm.save_checkpoint(tmp_path / "params", {"w": np.ones(4)}, meta={"note": "later"})
+    assert Path(path).read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["params.npz"]
+    loaded, meta = nm.load_checkpoint(path)
+    assert meta["note"] == "earlier" and np.array_equal(loaded["w"], np.arange(4.0))
+
+
 # ---------------------------------------------------------------------------
 # CSV files
 # ---------------------------------------------------------------------------

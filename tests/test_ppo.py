@@ -1,6 +1,7 @@
 """PPO trainer oracles: GAE recursions, buffer accounting, update mechanics."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -324,6 +325,20 @@ def test_shared_leaf_gradients_survive_clipping():
     assert np.array_equal(b.grad, expected)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_clip_grad_norm_refuses_a_non_finite_gradient_before_scaling(bad):
+    # a NaN norm fails `norm > max_norm` and an inf one scales by 0 (inf * 0 = NaN);
+    # either way Adam then wrote NaN into the parameters
+    a = nm.Tensor(np.array([2.0, 1.0]), requires_grad=True)
+    b = nm.Tensor(np.array([-1.0]), requires_grad=True)
+    a.grad, b.grad = np.array([bad, 0.5]), np.array([3.0])
+    grads, data = [t.grad.copy() for t in (a, b)], [t.data.copy() for t in (a, b)]
+    with pytest.raises(nm.NonFiniteError, match="gradient"):
+        clip_grad_norm([a, b], 0.5)
+    for t, grad, before in zip((a, b), grads, data):
+        assert t.grad.tobytes() == grad.tobytes() and t.data.tobytes() == before.tobytes()
+
+
 def test_adam_single_step_matches_formula():
     p = nm.Tensor(np.array([1.0, -2.0]), requires_grad=True)
     p.grad = np.array([0.1, -0.2])
@@ -335,6 +350,22 @@ def test_adam_single_step_matches_formula():
     vhat = v / (1 - 0.999)
     expected = np.array([1.0, -2.0]) - 1e-2 * mhat / (np.sqrt(vhat) + 1e-8)
     assert np.max(np.abs(p.data - expected)) < 1e-15
+
+
+def test_adam_skips_a_tensor_without_gradient():
+    # the intruder weights get no gradient from a minibatch that holds no intruder
+    p = nm.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    idle = nm.Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    p.grad, idle.grad = np.array([0.1, -0.2]), None
+    opt = Adam([idle, p], lr=1e-2)
+    opt.step()
+    expected = np.array([1.0, -2.0]) - 1e-2 * (0.1 * p.grad / (1 - 0.9)) / (
+        np.sqrt(0.001 * p.grad**2 / (1 - 0.999)) + 1e-8
+    )
+    assert np.max(np.abs(p.data - expected)) < 1e-15
+    assert idle.data.tolist() == [3.0, 4.0]
+    assert opt._m[0].tolist() == [0.0, 0.0] and opt._v[0].tolist() == [0.0, 0.0]
+    assert np.max(np.abs(opt._m[1] - 0.1 * p.grad)) < 1e-15
 
 
 def _collected_buffer(params, seed=21, horizon=50):
@@ -433,10 +464,11 @@ def test_train_writes_stats_and_checkpoints(tmp_path):
     lines = result.stats_path.read_text().splitlines()
     assert lines[0] == "update,mean_lambda_return,mean_entropy,policy_loss,value_loss,clip_fraction,grad_norm"
     assert len(lines) == 1 + 2
-    # per-update checkpoints plus the final one
+    # per-update checkpoints plus the final one, and a state file beside each per-update one
     assert len(result.checkpoint_paths) == 3
     for p in result.checkpoint_paths:
         assert p.exists()
+    assert sorted(p.name for p in (tmp_path / "run").glob("state_*")) == ["state_0001.npz", "state_0002.npz"]
 
 
 def test_two_run_updates_equal_train_with_two_updates(tmp_path, monkeypatch):
@@ -447,6 +479,7 @@ def test_two_run_updates_equal_train_with_two_updates(tmp_path, monkeypatch):
     stats, buffers = zip(*(run_update(state) for _ in range(2)))
     result = train(cfg, tmp_path / "run")
     assert list(stats) == result.stats
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["checkpoint_final.npz", "training_stats.csv"]
     assert state.update == 2
     trained = result.params.named_parameters()
     for name, tensor in state.params.named_parameters().items():
@@ -476,14 +509,70 @@ def test_train_that_fails_in_its_second_update_keeps_the_first_row_and_checkpoin
     assert not (tmp_path / "run" / "checkpoint_final.npz").exists()
 
 
-def test_train_resume_from_checkpoint(tmp_path, monkeypatch):
-    result = train(_tiny_config(updates=1), tmp_path / "first")
-    saved = result.params.value_norm
-    assert saved.count > 0
-    loaded, _ = load_policy(result.checkpoint_paths[-1])
-    assert loaded.value_norm == saved  # bit-exact through the checkpoint metadata
-    cfg = _tiny_config(updates=1)
-    # the resumed run collects and updates with the restored return statistics
+def _four_update_config(env, decision_interval_s):
+    return training_config_from_dict(
+        {
+            "seed": 3,
+            "scenario": {"env": env, "sector": {"decision_interval_s": decision_interval_s}},
+            "network": {"d_emb": 16, "d_ff": 32, "heads": 4, "layers": 1},
+            "ppo": {"updates": 4, "n_envs": 2, "horizon": 24, "batch_size": 16, "epochs": 1},
+            "checkpoint_every": 2,
+        }
+    )
+
+
+# at 1 s per step no episode ends within 4 updates; at 30-60 s episodes end on both sides of the save
+@pytest.mark.parametrize("env, decision_interval_s", [
+    ("headon", 1.0), ("training", 1.0), ("c", 1.0), ("headon", 30.0), ("training", 60.0), ("c", 60.0),
+])
+def test_a_run_killed_in_its_third_update_and_resumed_equals_the_unbroken_run(
+    tmp_path, monkeypatch, env, decision_interval_s
+):
+    cfg = _four_update_config(env, decision_interval_s)
+    whole = train(cfg, tmp_path / "whole")
+    calls = []
+    original_run_update = ppo_module.run_update
+
+    def killed_in_third(state):
+        calls.append(state.update)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return original_run_update(state)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ppo_module, "run_update", killed_in_third)
+        with pytest.raises(KeyboardInterrupt):
+            train(cfg, tmp_path / "cut")
+    state_file = tmp_path / "cut" / "state_0002.npz"
+    _, meta = nm.load_checkpoint(state_file)
+    assert all(world["aircraft"] or world["spawn_queue"] for _, world in meta["envs"])  # worlds in flight
+    resumed_cfg = dataclasses.replace(cfg, init_checkpoint=str(state_file))
+    expected_arrays, expected_meta = nm.load_checkpoint(tmp_path / "whole" / "state_0004.npz")
+    for out in (tmp_path / "fresh", tmp_path / "cut"):
+        resumed = train(resumed_cfg, out)
+        assert resumed.stats == whole.stats
+        assert (out / "training_stats.csv").read_bytes() == (tmp_path / "whole" / "training_stats.csv").read_bytes()
+        final = resumed.params.named_parameters()
+        for name, tensor in whole.params.named_parameters().items():
+            assert final[name].data.tobytes() == tensor.data.tobytes(), name
+        # the state after update 4 holds the parameters, Adam's t, m and v, every generator and world
+        arrays, meta = nm.load_checkpoint(out / "state_0004.npz")
+        assert sorted(arrays) == sorted(expected_arrays)
+        assert any(name.startswith("adam_m.") for name in arrays)
+        for name, array in expected_arrays.items():
+            assert arrays[name].tobytes() == array.tobytes(), name
+        assert meta["config"]["init_checkpoint"] == str(state_file)
+        meta["config"]["init_checkpoint"] = None
+        assert meta == expected_meta
+
+
+def test_resume_restores_the_value_normalizer_and_refuses_what_is_not_this_runs_state(tmp_path, monkeypatch):
+    first = train(_tiny_config(updates=2), tmp_path / "first")
+    policy_file, state_file = tmp_path / "first" / "checkpoint_0001.npz", tmp_path / "first" / "state_0001.npz"
+    saved, _ = load_policy(policy_file)
+    assert saved.value_norm.count > 0
+    assert saved.value_norm != first.params.value_norm
+    # the resumed run collects its one update with the statistics update 0 left, bit for bit
     seen = []
     original_collect = ppo_module.collect_rollouts
 
@@ -491,18 +580,42 @@ def test_train_resume_from_checkpoint(tmp_path, monkeypatch):
         seen.append(dataclasses.replace(params.value_norm))
         return original_collect(envs, params, horizon, rng)
 
-    monkeypatch.setattr(ppo_module, "collect_rollouts", recording_collect)
-    cfg = dataclasses.replace(cfg, init_checkpoint=str(result.checkpoint_paths[-1]))
-    resumed = train(cfg, tmp_path / "second")
-    assert resumed.stats_path.exists()
-    assert seen == [saved]
-    assert resumed.params.value_norm.count > saved.count
+    cfg = dataclasses.replace(_tiny_config(updates=2), init_checkpoint=str(state_file))
+    with monkeypatch.context() as mp:
+        mp.setattr(ppo_module, "collect_rollouts", recording_collect)
+        resumed = train(cfg, tmp_path / "second")
+    assert seen == [saved.value_norm]
+    assert resumed.params.value_norm == first.params.value_norm
 
-    bad = dataclasses.replace(
-        cfg, network=PolicyConfig(d_emb=8, d_ff=16, heads=2, layers=1)
-    )
-    with pytest.raises(ValueError):
-        train(bad, tmp_path / "third")
+    refused = [
+        (dataclasses.replace(cfg, network=PolicyConfig(d_emb=8, d_ff=16, heads=2, layers=1)), "config differs"),
+        (dataclasses.replace(cfg, seed=6), "config differs"),
+        (dataclasses.replace(cfg, init_checkpoint=str(policy_file)), "holds no training state"),
+        (_tiny_config(updates=1), "is at update 1, and the run stops at 1"),
+    ]
+    for bad, fragment in refused:
+        bad = dataclasses.replace(bad, init_checkpoint=bad.init_checkpoint or str(state_file))
+        with pytest.raises(ValueError, match=fragment):
+            start_training(bad)
+
+
+def test_a_state_file_with_an_entry_missing_is_refused_naming_the_file(tmp_path):
+    train(_tiny_config(updates=1), tmp_path / "run")
+    arrays, meta = nm.load_checkpoint(tmp_path / "run" / "state_0001.npz")
+    resumed = dataclasses.replace(_tiny_config(updates=2), init_checkpoint=str(tmp_path / "damaged.npz"))
+    cuts = [("meta", key) for key in meta if key not in ("config", "format_version")]
+    cuts += [("meta", "envs.0.aircraft"), ("arrays", "adam_v.own_w"), ("arrays", "intr_w")]
+    for where, key in cuts:
+        cut_arrays, cut_meta = dict(arrays), json.loads(json.dumps(meta))
+        if where == "arrays":
+            del cut_arrays[key]
+        elif key == "envs.0.aircraft":
+            cut_meta["envs"][0][1]["aircraft"] = [{"aircraft_id": "AC000"}]
+        else:
+            del cut_meta[key]
+        nm.save_checkpoint(tmp_path / "damaged.npz", cut_arrays, cut_meta)
+        with pytest.raises(ValueError, match="damaged.npz does not hold a whole training state"):
+            start_training(resumed)
 
 
 def test_train_takes_a_scenario_kind_given_as_a_string(tmp_path):
