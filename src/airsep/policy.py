@@ -346,24 +346,27 @@ def act(obs, params, rng=None, mode="sample"):
 # ---------------------------------------------------------------------------
 
 
-def save_policy(path, params, meta=None):
+def save_policy(path, params, meta=None, moments=None):
     """Checkpoint all parameters plus the network configuration, the value
-    normalizer's statistics and caller metadata."""
+    normalizer's statistics and caller metadata; ``moments`` adds optimizer
+    arrays, each named ``adam_m.<name>`` or ``adam_v.<name>`` after its parameter."""
     meta = dict(meta or {})
     meta["network"] = asdict(params.config)
     meta["value_normalization"] = asdict(params.value_norm)
-    return nm.save_checkpoint(path, params.named_parameters(), meta)
+    return nm.save_checkpoint(path, params.named_parameters() | (moments or {}), meta)
 
 
-def load_policy(path):
-    """Rebuild (params, meta) from a checkpoint; forward passes are bit-identical.
+def load_policy(path, checkpoint=None):
+    """Rebuild (params, meta) from the checkpoint at ``path``, or from its ``(arrays, meta)``
+    already read; forward passes are bit-identical.
 
     A checkpoint without value-normalization statistics gets fresh (identity)
-    ones. A missing network block, metadata or arrays that do not fit, or
-    anything :func:`numerics.load_checkpoint` rejects (a non-finite weight
-    among them) raises ValueError.
+    ones. A missing network block, metadata that does not fit, an array that is
+    neither a parameter nor an ``adam_m.``/``adam_v.`` moment of one, or one of
+    another shape than its parameter raises ValueError; so does anything
+    :func:`numerics.load_checkpoint` rejects (a non-finite weight among them).
     """
-    arrays, meta = nm.load_checkpoint(path)
+    arrays, meta = checkpoint or nm.load_checkpoint(path)
     if "network" not in meta:
         raise ValueError(f"{path} is not a policy checkpoint: it has no network block")
     config = config_mod.from_fields(PolicyConfig, meta["network"], "checkpoint network")
@@ -372,14 +375,15 @@ def load_policy(path):
     )
     params = init_params(config, np.random.default_rng(0))
     named = params.named_parameters()
+    owner = {prefix + name: name for prefix in ("", "adam_m.", "adam_v.") for name in named}
     missing = set(named) - set(arrays)
-    extra = set(arrays) - set(named)
+    extra = set(arrays) - set(owner)
     if missing or extra:
         raise ValueError(f"{path} does not fit its network: missing={sorted(missing)} extra={sorted(extra)}")
-    for name, tensor in named.items():
-        stored = arrays[name]
-        if stored.shape != tensor.data.shape:
+    for name, stored in arrays.items():
+        if stored.shape != named[owner[name]].data.shape:
             raise ValueError(f"{path} does not fit its network: {name} has shape {stored.shape}")
-        tensor.data = stored.astype(np.float64, copy=True)
+    for name, tensor in named.items():
+        tensor.data = arrays[name].astype(np.float64, copy=True)
     params.value_norm = value_norm
     return params, meta

@@ -7,7 +7,7 @@ contributes one transition per step, and removals terminate an agent's track
 observation. Transitions from all agents and envs are pooled, shuffled and
 optimized in minibatches. :func:`train` is only a loop of :func:`run_update`
 on the :class:`TrainState` that :func:`start_training` builds, plus its files;
-a state file it writes resumes the run bit for bit (:func:`save_state`).
+each checkpoint it writes resumes the run bit for bit (:func:`save_state`).
 
 The critic is trained on normalized value targets. The parameters carry
 running mean/std statistics of every lambda-return seen so far
@@ -466,7 +466,7 @@ def checkpoint_metadata(config, update):
 
 @dataclass
 class TrainState:
-    """Everything an update reads and writes; ``update`` is the index of the next one."""
+    """Everything an update reads and writes; ``update`` is the index of the next one, ``stats`` the rows so far."""
 
     config: TrainConfig
     params: object
@@ -475,23 +475,21 @@ class TrainState:
     action_rng: np.random.Generator
     shuffle_rng: np.random.Generator
     update: int = 0
+    stats: list = field(default_factory=list)
 
 
 def start_training(config):
     """A run before its next update. Seeds spawn in the order init, action, shuffle, one per env;
-    given ``init_checkpoint``, the state file it names then overwrites all of it. Writes no file."""
-    return _start(config)[0]
-
-
-def _start(config):
-    """:func:`start_training`'s state, and the stats rows of the updates it has already run."""
+    given ``init_checkpoint``, the checkpoint it names then overwrites all of it. Writes no file."""
     hp = config.hyper
     seeds = np.random.SeedSequence(config.seed).spawn(3 + hp.n_envs)
     init_rng, action_rng, shuffle_rng, *env_rngs = (np.random.default_rng(ss) for ss in seeds)
     params = init_params(config.network, init_rng)
     envs = [SectorEnv(config.scenario, rng, reward_params=config.reward) for rng in env_rngs]
     state = TrainState(config, params, Adam(params.tensors(), lr=hp.learning_rate), envs, action_rng, shuffle_rng)
-    return state, _load_state(state, config.init_checkpoint) if config.init_checkpoint else []
+    if config.init_checkpoint:
+        _load_state(state, config.init_checkpoint)
+    return state
 
 
 def _config_json(config):
@@ -522,95 +520,91 @@ def _generators(state):
     return state.action_rng, state.shuffle_rng, *(env.rng for env in state.envs)
 
 
-def save_state(path, state, stats):
-    """Write ``state`` and the run's ``stats`` rows to ``path`` (.npz) as a checkpoint: the parameters
-    under their names, Adam's moments as ``adam_m.<name>`` and ``adam_v.<name>``, the rest as JSON.
-    Not saved: the worlds' pairwise memo, which is derived, and ``WorldState.rng``, which is never read."""
+def save_state(path, state):
+    """Write ``state`` to ``path`` (.npz) as the policy checkpoint of its last update that also holds the
+    rest of it: Adam's moments as ``adam_m.<name>`` and ``adam_v.<name>``, the others as JSON. Returns the
+    path. Not saved: the worlds' pairwise memo, which is derived, and ``WorldState.rng``, which is never read."""
     named = state.params.named_parameters()
     moments = {f"adam_{kind}.{name}": array for kind, arrays in (("m", state.optimizer._m), ("v", state.optimizer._v))
                for name, array in zip(named, arrays)}
-    return nm.save_checkpoint(path, named | moments, {
+    return Path(policy_mod.save_policy(path, state.params, checkpoint_metadata(state.config, state.update - 1) | {
         "config": _config_json(state.config),
-        "update": state.update,
-        "stats": [astuple(st) for st in stats],
-        "value_norm": asdict(state.params.value_norm),
+        "stats": [astuple(st) for st in state.stats],
         "adam_t": state.optimizer.t,
         "rngs": [rng.bit_generator.state for rng in _generators(state)],
         "envs": [[env.episode, _world_json(env.world)] for env in state.envs],
-    })
+    }, moments))
 
 
 def _load_state(state, path):
-    """Overwrite the fresh ``state`` with the state file at ``path``; returns its stats rows.
-    A policy checkpoint, another run's state, a finished one or one with an entry missing is a ValueError."""
+    """Overwrite the fresh ``state`` with the checkpoint that :func:`save_state` wrote to ``path``. A file
+    without training state, another run's, a finished one, or one with an entry missing, of another shape
+    or of another length is a ValueError naming it."""
     arrays, meta = nm.load_checkpoint(path)
     if "config" not in meta:
-        raise ValueError(f"{path} holds no training state: resume from a state_<update>.npz that train wrote")
+        raise ValueError(f"{path} holds no training state: resume from a checkpoint that train wrote")
+    params, _ = policy_mod.load_policy(path, (arrays, meta))
     try:
         mine, saved = ({**c, "hyper": {**c["hyper"], "updates": 0}, "checkpoint_every": 0, "init_checkpoint": None}
                        for c in (_config_json(state.config), meta["config"]))
-        if mine != saved:
-            raise ValueError(f"{path} was saved by a run whose config differs outside "
-                             "hyper.updates, checkpoint_every and init_checkpoint")
-        if (update := meta["update"]) >= state.config.hyper.updates:
-            raise ValueError(f"{path} is at update {update}, and the run stops at {state.config.hyper.updates}")
-        named = state.params.named_parameters()
-        for name, tensor in named.items():
-            tensor.data = arrays[name]
-        state.params.value_norm = policy_mod.ValueNormalizer(**meta["value_norm"])
-        state.optimizer.t = meta["adam_t"]
-        state.optimizer._m = [arrays[f"adam_m.{name}"] for name in named]
-        state.optimizer._v = [arrays[f"adam_v.{name}"] for name in named]
-        for rng, rng_state in zip(_generators(state), meta["rngs"]):
-            rng.bit_generator.state = rng_state
-        for env, (episode, world) in zip(state.envs, meta["envs"]):
-            env.episode, env.world = episode, _world_from(world, state.config.scenario.sector)
-        state.update = update
-        return [TrainStats(*row) for row in meta["stats"]]
-    except (KeyError, IndexError, TypeError) as exc:  # an entry missing or of another shape
+        update = meta["update"] + 1  # the checkpoint's update is the last one run
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"{path} does not hold a whole training state: {exc!r}") from None
+    if mine != saved:
+        raise ValueError(f"{path} was saved by a run whose config differs outside "
+                         "hyper.updates, checkpoint_every and init_checkpoint")
+    if update >= state.config.hyper.updates:
+        raise ValueError(f"{path} is at update {update}, and the run stops at {state.config.hyper.updates}")
+    try:
+        meta["value_normalization"]  # load_policy defaults a missing one; a resume must not
+        state.params, state.optimizer = params, Adam(params.tensors(), lr=state.optimizer.lr)
+        state.optimizer.t = meta["adam_t"]
+        state.optimizer._m, state.optimizer._v = ([arrays[f"adam_{kind}.{name}"] for name in params.named_parameters()]
+                                                  for kind in "mv")
+        for rng, rng_state in zip(_generators(state), meta["rngs"], strict=True):
+            rng.bit_generator.state = rng_state
+        for env, (episode, world) in zip(state.envs, meta["envs"], strict=True):
+            env.episode, env.world = episode, _world_from(world, state.config.scenario.sector)
+        state.stats = [TrainStats(*row) for row in meta["stats"]]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:  # an entry missing, or of another shape or length
+        raise ValueError(f"{path} does not hold a whole training state: {exc!r}") from None
+    state.update = update
 
 
 def run_update(state):
-    """One update on ``state``: collect, GAE, :func:`ppo_update`. Returns ``(stats, buffer)``."""
+    """One update on ``state``: collect, GAE, :func:`ppo_update`; appends its row to ``state.stats``.
+    Returns ``(stats, buffer)``."""
     hp = state.config.hyper
     buffer = collect_rollouts(state.envs, state.params, hp.horizon, state.action_rng)
     compute_gae(buffer, hp.gamma, hp.gae_lambda)
     stats = ppo_update(state.params, buffer, hp, state.shuffle_rng, state.optimizer)
     stats.update = state.update
     state.update += 1
+    state.stats.append(stats)
     return stats, buffer
 
 
 def train(config, out_dir, log=None):
     """:func:`run_update` from :func:`start_training` to ``hyper.updates``; on disk, the stats CSV
-    with every row of the run, resumed or not, and at every ``checkpoint_every`` updates a policy
-    checkpoint and a state file (:func:`save_state`) that ``init_checkpoint`` resumes from."""
+    with every row of the run, resumed or not, and a checkpoint (:func:`save_state`), which both
+    ``eval`` and ``init_checkpoint`` read, at every ``checkpoint_every`` updates and at the end."""
     hp = config.hyper
     nm.check_out_dir(out_dir)
-    state, stats = _start(config)
+    state = start_training(config)
     out = Path(out_dir)
     checkpoint_paths = []
 
     def rows():
-        yield from [astuple(st) for st in stats]
+        yield from [astuple(st) for st in state.stats]
         while state.update < hp.updates:
             st, buffer = run_update(state)
-            stats.append(st)
             yield astuple(st)  # write_csv resumes this only once the row is on disk
-            if config.checkpoint_every and state.update % config.checkpoint_every == 0:
-                path = policy_mod.save_policy(
-                    out / f"checkpoint_{state.update:04d}", state.params, checkpoint_metadata(config, st.update)
-                )
-                checkpoint_paths.append(Path(path))
-                save_state(out / f"state_{state.update:04d}", state, stats)
+            if config.checkpoint_every and state.update % config.checkpoint_every == 0 and state.update < hp.updates:
+                checkpoint_paths.append(save_state(out / f"checkpoint_{state.update:04d}", state))
             if log:
                 log(f"update {state.update}/{hp.updates}: return {st.mean_lambda_return:.3f} "
                     f"entropy {st.mean_entropy:.3f} transitions {len(buffer)}")
 
     stats_path = nm.write_csv(out / "training_stats.csv", STATS_HEADER, rows())
-    final = policy_mod.save_policy(
-        out / "checkpoint_final", state.params, checkpoint_metadata(config, hp.updates - 1)
-    )
-    checkpoint_paths.append(Path(final))
-    return TrainResult(stats=stats, params=state.params, stats_path=stats_path, checkpoint_paths=checkpoint_paths)
+    checkpoint_paths.append(save_state(out / "checkpoint_final", state))
+    return TrainResult(stats=state.stats, params=state.params, stats_path=stats_path, checkpoint_paths=checkpoint_paths)

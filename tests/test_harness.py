@@ -35,7 +35,7 @@ from airsep.harness import (
     run_episode,
     smooth_curve,
 )
-from airsep.numerics import save_checkpoint
+from airsep.numerics import load_checkpoint, save_checkpoint
 from airsep.policy import PolicyConfig, ValueNormalizer, act, init_params, save_policy
 from airsep.reward import RewardParams
 
@@ -780,15 +780,16 @@ def test_cli_train_rejects_an_unreadable_init_checkpoint(tmp_path, capsys, monke
 @pytest.mark.parametrize(
     "change, file, fragment",
     [
-        ({}, "checkpoint_0001.npz", "holds no training state"),  # a policy checkpoint of the same run
-        ({"network": {"d_emb": 8, "d_ff": 16, "heads": 2}}, "state_0001.npz", "config differs"),
-        ({"seed": 9}, "state_0001.npz", "config differs"),
-        ({"ppo": {"updates": 1}}, "state_0001.npz", "is at update 1, and the run stops at 1"),
+        ({}, "policy.npz", "holds no training state"),  # the run's parameters as save_policy writes them
+        ({"network": {"d_emb": 8, "d_ff": 16, "heads": 2}}, "checkpoint_final.npz", "config differs"),
+        ({"seed": 9}, "checkpoint_final.npz", "config differs"),
+        ({"ppo": {"updates": 1}}, "checkpoint_final.npz", "is at update 1, and the run stops at 1"),
     ],
     ids=["policy_checkpoint", "another_network", "another_seed", "finished"],
 )
 def test_cli_train_refuses_an_init_checkpoint_it_cannot_resume(tmp_path, capsys, monkeypatch, change, file, fragment):
     ppo.train(training_config_from_dict(_tiny_with(None, "checkpoint_every", 1)), tmp_path / "first")
+    save_policy(tmp_path / "first" / "policy", policy_module.load_policy(tmp_path / "first" / "checkpoint_final.npz")[0])
     monkeypatch.setattr(ppo, "run_update", _no_work)
     resumed = _tiny_with("ppo", "updates", 2)
     for key, value in change.items():
@@ -799,6 +800,42 @@ def test_cli_train_refuses_an_init_checkpoint_it_cannot_resume(tmp_path, capsys,
     code = cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
     err = _assert_clean_error(code, capsys, fragment)
     assert resumed["init_checkpoint"] in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+def _as_a_state_file_of_the_old_layout(arrays, meta):
+    """The ``state_<update>.npz`` that train once wrote beside each policy checkpoint: no network block."""
+    old = {key: meta[key] for key in ("config", "stats", "adam_t", "rngs", "envs")}
+    old.update(update=meta["update"] + 1, value_norm=meta["value_normalization"])
+    meta.clear()
+    meta.update(old)
+
+
+# a checkpoint that train wrote, damaged after the fact
+@pytest.mark.parametrize("damage, fragment", [
+    pytest.param(lambda arrays, meta: meta.pop("value_normalization"),
+                 "does not hold a whole training state: KeyError('value_normalization')", id="no_value_normalization"),
+    pytest.param(lambda arrays, meta: arrays.update(own_b=arrays["own_b"][:1]),
+                 "does not fit its network: own_b has shape (1,)", id="a_parameter_cut"),
+    pytest.param(lambda arrays, meta: arrays.update({"adam_v.own_b": arrays["adam_v.own_b"][:1]}),
+                 "does not fit its network: adam_v.own_b has shape (1,)", id="a_moment_cut"),
+    pytest.param(lambda arrays, meta: meta["envs"].pop(), "does not hold a whole training state", id="an_env_short"),
+    pytest.param(lambda arrays, meta: meta["rngs"].append(meta["rngs"][0]), "does not hold a whole training state",
+                 id="a_generator_too_many"),
+    pytest.param(_as_a_state_file_of_the_old_layout, "is not a policy checkpoint: it has no network block",
+                 id="old_state_file"),
+])
+def test_cli_train_refuses_a_damaged_checkpoint(tmp_path, capsys, monkeypatch, damage, fragment):
+    ppo.train(training_config_from_dict(_tiny_with(None, "checkpoint_every", 1)), tmp_path / "first")
+    arrays, meta = load_checkpoint(tmp_path / "first" / "checkpoint_final.npz")
+    damage(arrays, meta)
+    ckpt = save_checkpoint(tmp_path / "damaged", arrays, meta)
+    monkeypatch.setattr(ppo, "run_update", _no_work)
+    config = tmp_path / "resume.yaml"
+    config.write_text(yaml.safe_dump(_tiny_with("ppo", "updates", 2) | {"init_checkpoint": ckpt}))
+    code = cli(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    err = _assert_clean_error(code, capsys, f"{ckpt} {fragment}")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "run").exists()
 

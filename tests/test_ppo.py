@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from airsep import ppo as ppo_module
 from airsep.airspace import SectorParams
 from airsep.config import training_config_from_dict
 from airsep.featurize import featurize
-from airsep.policy import PolicyConfig, ValueNormalizer, act, forward, init_params, load_policy
+from airsep.policy import PolicyConfig, ValueNormalizer, act, forward, init_params, load_policy, save_policy
 from airsep.ppo import (
     STATS_HEADER,
     Adam,
@@ -464,11 +465,15 @@ def test_train_writes_stats_and_checkpoints(tmp_path):
     lines = result.stats_path.read_text().splitlines()
     assert lines[0] == "update,mean_lambda_return,mean_entropy,policy_loss,value_loss,clip_fraction,grad_norm"
     assert len(lines) == 1 + 2
-    # per-update checkpoints plus the final one, and a state file beside each per-update one
-    assert len(result.checkpoint_paths) == 3
-    for p in result.checkpoint_paths:
-        assert p.exists()
-    assert sorted(p.name for p in (tmp_path / "run").glob("state_*")) == ["state_0001.npz", "state_0002.npz"]
+    # one checkpoint per save; the last update's is the final one alone
+    assert [p.name for p in result.checkpoint_paths] == ["checkpoint_0001.npz", "checkpoint_final.npz"]
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "checkpoint_0001.npz", "checkpoint_final.npz", "training_stats.csv"
+    ]
+    for path, update in zip(result.checkpoint_paths, (0, 1)):
+        _, meta = load_policy(path)  # a policy checkpoint that also holds the state
+        assert meta["update"] == update
+        assert any(name.startswith("adam_m.") for name in nm.load_checkpoint(path)[0])
 
 
 def test_two_run_updates_equal_train_with_two_updates(tmp_path, monkeypatch):
@@ -543,33 +548,50 @@ def test_a_run_killed_in_its_third_update_and_resumed_equals_the_unbroken_run(
         mp.setattr(ppo_module, "run_update", killed_in_third)
         with pytest.raises(KeyboardInterrupt):
             train(cfg, tmp_path / "cut")
-    state_file = tmp_path / "cut" / "state_0002.npz"
+    state_file = tmp_path / "cut" / "checkpoint_0002.npz"
     _, meta = nm.load_checkpoint(state_file)
     assert all(world["aircraft"] or world["spawn_queue"] for _, world in meta["envs"])  # worlds in flight
-    resumed_cfg = dataclasses.replace(cfg, init_checkpoint=str(state_file))
-    expected_arrays, expected_meta = nm.load_checkpoint(tmp_path / "whole" / "state_0004.npz")
     for out in (tmp_path / "fresh", tmp_path / "cut"):
-        resumed = train(resumed_cfg, out)
-        assert resumed.stats == whole.stats
-        assert (out / "training_stats.csv").read_bytes() == (tmp_path / "whole" / "training_stats.csv").read_bytes()
-        final = resumed.params.named_parameters()
-        for name, tensor in whole.params.named_parameters().items():
-            assert final[name].data.tobytes() == tensor.data.tobytes(), name
-        # the state after update 4 holds the parameters, Adam's t, m and v, every generator and world
-        arrays, meta = nm.load_checkpoint(out / "state_0004.npz")
-        assert sorted(arrays) == sorted(expected_arrays)
-        assert any(name.startswith("adam_m.") for name in arrays)
-        for name, array in expected_arrays.items():
-            assert arrays[name].tobytes() == array.tobytes(), name
-        assert meta["config"]["init_checkpoint"] == str(state_file)
-        meta["config"]["init_checkpoint"] = None
-        assert meta == expected_meta
+        _assert_resumed_equals(dataclasses.replace(cfg, init_checkpoint=str(state_file)), out, whole, tmp_path / "whole")
+
+
+def _assert_resumed_equals(resumed_cfg, out, whole, whole_out):
+    """``train(resumed_cfg, out)`` writes the stats, parameters and final checkpoint of the ``whole`` run."""
+    resumed = train(resumed_cfg, out)
+    assert resumed.stats == whole.stats
+    assert (out / "training_stats.csv").read_bytes() == (whole_out / "training_stats.csv").read_bytes()
+    final = resumed.params.named_parameters()
+    for name, tensor in whole.params.named_parameters().items():
+        assert final[name].data.tobytes() == tensor.data.tobytes(), name
+    # the final checkpoint holds the parameters, Adam's t, m and v, every generator and world
+    expected_arrays, expected_meta = nm.load_checkpoint(whole_out / "checkpoint_final.npz")
+    arrays, meta = nm.load_checkpoint(out / "checkpoint_final.npz")
+    assert sorted(arrays) == sorted(expected_arrays)
+    assert any(name.startswith("adam_m.") for name in arrays)
+    for name, array in expected_arrays.items():
+        assert arrays[name].tobytes() == array.tobytes(), name
+    assert meta["config"]["init_checkpoint"] == resumed_cfg.init_checkpoint
+    meta["config"]["init_checkpoint"] = None
+    assert meta == expected_meta
+
+
+@pytest.mark.parametrize("env, decision_interval_s", [("headon", 30.0), ("training", 60.0)])
+def test_a_finished_run_resumed_with_more_updates_equals_the_longer_run(tmp_path, env, decision_interval_s):
+    cfg = _four_update_config(env, decision_interval_s)
+    whole = train(cfg, tmp_path / "whole")
+    short = dataclasses.replace(cfg, hyper=dataclasses.replace(cfg.hyper, updates=2))
+    train(short, tmp_path / "short")
+    assert sorted(p.name for p in (tmp_path / "short").iterdir()) == ["checkpoint_final.npz", "training_stats.csv"]
+    final = tmp_path / "short" / "checkpoint_final.npz"
+    _assert_resumed_equals(dataclasses.replace(cfg, init_checkpoint=str(final)), tmp_path / "longer", whole,
+                           tmp_path / "whole")
 
 
 def test_resume_restores_the_value_normalizer_and_refuses_what_is_not_this_runs_state(tmp_path, monkeypatch):
     first = train(_tiny_config(updates=2), tmp_path / "first")
-    policy_file, state_file = tmp_path / "first" / "checkpoint_0001.npz", tmp_path / "first" / "state_0001.npz"
-    saved, _ = load_policy(policy_file)
+    state_file = tmp_path / "first" / "checkpoint_0001.npz"
+    saved, _ = load_policy(state_file)
+    policy_file = save_policy(tmp_path / "policy", saved)  # the same parameters with no training state
     assert saved.value_norm.count > 0
     assert saved.value_norm != first.params.value_norm
     # the resumed run collects its one update with the statistics update 0 left, bit for bit
@@ -601,20 +623,30 @@ def test_resume_restores_the_value_normalizer_and_refuses_what_is_not_this_runs_
 
 def test_a_state_file_with_an_entry_missing_is_refused_naming_the_file(tmp_path):
     train(_tiny_config(updates=1), tmp_path / "run")
-    arrays, meta = nm.load_checkpoint(tmp_path / "run" / "state_0001.npz")
+    arrays, meta = nm.load_checkpoint(tmp_path / "run" / "checkpoint_final.npz")
     resumed = dataclasses.replace(_tiny_config(updates=2), init_checkpoint=str(tmp_path / "damaged.npz"))
-    cuts = [("meta", key) for key in meta if key not in ("config", "format_version")]
-    cuts += [("meta", "envs.0.aircraft"), ("arrays", "adam_v.own_w"), ("arrays", "intr_w")]
-    for where, key in cuts:
+    whole = "does not hold a whole training state"
+
+    # each entry a resume reads; the blocks a policy checkpoint echoes from the config are not read
+    damages = [(lambda arrays, meta, key=key: meta.pop(key), whole)
+               for key in ("update", "stats", "value_normalization", "adam_t", "rngs", "envs")]
+    damages += [
+        (lambda arrays, meta: meta["envs"][0][1].update(aircraft=[{"aircraft_id": "AC000"}]), whole),
+        (lambda arrays, meta: arrays.pop("adam_v.own_w"), whole),
+        (lambda arrays, meta: meta.pop("network"), "is not a policy checkpoint: it has no network block"),
+        (lambda arrays, meta: arrays.pop("intr_w"), "does not fit its network: missing=['intr_w']"),
+        (lambda arrays, meta: meta["envs"].pop(), whole),  # a list one short: the last env kept its fresh world
+        (lambda arrays, meta: meta["rngs"].pop(), whole),
+        (lambda arrays, meta: arrays.update({name: arrays[name][:1] for name in arrays if name.endswith("own_b")}),
+         "does not fit its network: own_b has shape (1,)"),
+        (lambda arrays, meta: arrays.update({"adam_m.own_b": arrays["adam_m.own_b"][:1]}),
+         "does not fit its network: adam_m.own_b has shape (1,)"),
+    ]
+    for damage, fragment in damages:
         cut_arrays, cut_meta = dict(arrays), json.loads(json.dumps(meta))
-        if where == "arrays":
-            del cut_arrays[key]
-        elif key == "envs.0.aircraft":
-            cut_meta["envs"][0][1]["aircraft"] = [{"aircraft_id": "AC000"}]
-        else:
-            del cut_meta[key]
+        damage(cut_arrays, cut_meta)
         nm.save_checkpoint(tmp_path / "damaged.npz", cut_arrays, cut_meta)
-        with pytest.raises(ValueError, match="damaged.npz does not hold a whole training state"):
+        with pytest.raises(ValueError, match=re.escape(f"damaged.npz {fragment}")):
             start_training(resumed)
 
 
